@@ -13,7 +13,6 @@ const USAGE: &str = "usage: report_fixes [--jobs N] [--slice on|off] [--stable] 
                      [--hang-factor N] [--isolate] [--memory-limit-mb N]
                      [--worker-heartbeat-ms N] [--listen ADDR]
                      [--lease-factor N] [--fleet-grace-ms N]
-                     [--fleet-lease-ms N]
   --jobs N          fan experiments across N portfolio workers (default 1)
   --slice on|off    per-property cone-of-influence slicing (default off)
   --stable          omit the Time column (byte-reproducible output)
@@ -31,8 +30,8 @@ const USAGE: &str = "usage: report_fixes [--jobs N] [--slice on|off] [--stable] 
                     (default 4; 0 disarms)
   --isolate         run each check attempt in a supervised worker subprocess
   --memory-limit-mb N  kill (and quarantine repeat offenders) any worker
-                    whose RSS exceeds N MiB (needs --isolate)
-  --worker-heartbeat-ms N  isolated-worker heartbeat period (default 250)
+                    whose RSS exceeds N MiB (isolated or fleet workers)
+  --worker-heartbeat-ms N  worker heartbeat period (default 250)
   --listen ADDR     accept remote `worker --connect` processes on ADDR and
                     dispatch checks to them under lease-based ownership;
                     degrades to local workers when the fleet drains
@@ -40,7 +39,6 @@ const USAGE: &str = "usage: report_fixes [--jobs N] [--slice on|off] [--stable] 
                     (default 4)
   --fleet-grace-ms N  with zero workers connected, fall back to local
                     execution after this long (default 2000)
-  --fleet-lease-ms N  fixed remote lease in ms (overrides --lease-factor)
 As `report_fixes worker --connect HOST:PORT [--backoff-ms N]
 [--backoff-max-ms N] [--max-retries N]`, serves a remote fleet instead.";
 

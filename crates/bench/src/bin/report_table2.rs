@@ -14,7 +14,7 @@ const USAGE: &str = "usage: report_table2 [--jobs N] [--slice on|off] [--stable]
                      [--hang-factor N] [--isolate] [--memory-limit-mb N]
                      [--worker-heartbeat-ms N] [--certify]
                      [--listen ADDR] [--lease-factor N]
-                     [--fleet-grace-ms N] [--fleet-lease-ms N]
+                     [--fleet-grace-ms N]
   --jobs N          fan ladder stages across N portfolio workers (default 1)
   --slice on|off    per-property cone-of-influence slicing (default off)
   --granularity G   property decomposition: monolithic (default), output
@@ -37,8 +37,8 @@ const USAGE: &str = "usage: report_table2 [--jobs N] [--slice on|off] [--stable]
                     (default 4; 0 disarms)
   --isolate         run each check attempt in a supervised worker subprocess
   --memory-limit-mb N  kill (and quarantine repeat offenders) any worker
-                    whose RSS exceeds N MiB (needs --isolate)
-  --worker-heartbeat-ms N  isolated-worker heartbeat period (default 250)
+                    whose RSS exceeds N MiB (isolated or fleet workers)
+  --worker-heartbeat-ms N  worker heartbeat period (default 250)
   --certify         demand an independently checked certificate for every
                     conclusive verdict (DRAT proof for UNSAT answers,
                     replayed trace for CEXs); missing/failed certificates
@@ -50,7 +50,6 @@ const USAGE: &str = "usage: report_table2 [--jobs N] [--slice on|off] [--stable]
                     (default 4)
   --fleet-grace-ms N  with zero workers connected, fall back to local
                     execution after this long (default 2000)
-  --fleet-lease-ms N  fixed remote lease in ms (overrides --lease-factor)
 As `report_table2 worker --connect HOST:PORT [--backoff-ms N]
 [--backoff-max-ms N] [--max-retries N]`, serves a remote fleet instead.";
 

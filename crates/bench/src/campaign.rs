@@ -24,12 +24,13 @@
 use crate::fleet::{Fleet, FleetEngine};
 use crate::workers::{ProcEngine, WorkerLimits, WorkerPool};
 use autocc_bmc::{
-    config_fingerprint, content_key, BmcEngine, CertificateStatus, CheckConfig, CheckEngine,
-    CheckMode, ContentKey, FailureReason, Isolation, JobFailure, Portfolio,
+    config_fingerprint, content_key, CertificateStatus, CheckConfig, CheckEngine, CheckMode,
+    ContentKey, FailureReason, Isolation, JobFailure, Portfolio,
 };
 use autocc_core::{
     AutoCcOutcome, CheckReport, FpvTestbench, PropertyCluster, PropertyVerdict, TableRow,
 };
+use autocc_journal::ipc::wire_engine;
 use autocc_journal::{Journal, JournalEntry, JournalError, JournalHeader, JOURNAL_SCHEMA_VERSION};
 use autocc_telemetry::{SolverCounters, SpanKind};
 use std::collections::HashMap;
@@ -146,6 +147,76 @@ impl CampaignOptions {
     /// use.
     pub fn off() -> CampaignOptions {
         CampaignOptions::default()
+    }
+}
+
+/// Where live checks run: in-process, on an isolated worker pool, or on
+/// a remote fleet with a local pool as its fallback rung. No placement
+/// changes an answer: each runs the same engines on the same budgets.
+#[derive(Clone)]
+pub enum Placement {
+    /// In the campaign's own process.
+    InProcess,
+    /// One supervised worker subprocess per attempt (`--isolate`).
+    Isolated(Arc<WorkerPool>),
+    /// Dispatched to `worker --connect` processes (`--listen`); the pool
+    /// runs what the fleet cannot answer.
+    Fleet(Arc<Fleet>, Option<Arc<WorkerPool>>),
+}
+
+/// A check engine that can move to a worker thread.
+pub type SharedEngine = Box<dyn CheckEngine + Send + Sync>;
+
+impl Placement {
+    /// The placement `config` and `options` ask for. One pool serves the
+    /// whole campaign, so kill counts and the quarantine ledger
+    /// aggregate across tasks and retries; a fleet always gets one, as
+    /// its fallback rung. Without an injected pool, the pool spawns
+    /// `current_exe() worker` under the config's limits.
+    pub fn new(config: &CheckConfig, options: &CampaignOptions) -> Placement {
+        let pool = || {
+            options
+                .pool
+                .clone()
+                .unwrap_or_else(|| Arc::new(WorkerPool::new(WorkerLimits::from_config(config))))
+        };
+        match &options.fleet {
+            Some(fleet) => Placement::Fleet(Arc::clone(fleet), Some(pool())),
+            None if config.isolation == Isolation::Subprocess => Placement::Isolated(pool()),
+            None => Placement::InProcess,
+        }
+    }
+
+    /// The engines one job runs here: BMC for a bounded check; for a
+    /// proof, k-induction, raced against a BMC falsifier when `jobs > 1`.
+    pub fn engines(&self, mode: CheckMode, jobs: usize) -> Vec<SharedEngine> {
+        let wires: &[&'static str] = match mode {
+            CheckMode::Check => &["bmc"],
+            CheckMode::Prove if jobs > 1 => &["k-induction", "falsifier-bmc"],
+            CheckMode::Prove => &["k-induction"],
+        };
+        wires
+            .iter()
+            .map(|&wire| -> SharedEngine {
+                match self {
+                    Placement::InProcess => wire_engine(wire).expect("built-in wire engine"),
+                    Placement::Isolated(pool) => Box::new(ProcEngine::new(Arc::clone(pool), wire)),
+                    Placement::Fleet(fleet, pool) => {
+                        Box::new(FleetEngine::new(Arc::clone(fleet), pool.clone(), wire))
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `ft`'s check or proof on [`Placement::engines`].
+    pub fn run(&self, ft: &FpvTestbench, config: &CheckConfig, mode: CheckMode) -> CheckReport {
+        let engines = self.engines(mode, config.jobs);
+        let engines: Vec<&dyn CheckEngine> = engines.iter().map(|e| &**e as _).collect();
+        match mode {
+            CheckMode::Check => ft.check_portfolio_with(config, engines[0]),
+            CheckMode::Prove => ft.prove_portfolio_with(config, &engines),
+        }
     }
 }
 
@@ -288,21 +359,7 @@ pub fn run_campaign(
         Some(path) => Some(open_journal(path, name, config, options)?),
     };
     let counters = Counters::default();
-    // One pool supervises the whole campaign, so kill counts and the
-    // quarantine ledger aggregate across tasks and retries. A fleet
-    // always gets a pool: it is the fallback rung when remote workers
-    // drain out.
-    let want_pool = matches!(config.isolation, Isolation::Subprocess) || options.fleet.is_some();
-    let pool: Option<Arc<WorkerPool>> = if want_pool {
-        Some(
-            options
-                .pool
-                .clone()
-                .unwrap_or_else(|| Arc::new(WorkerPool::new(WorkerLimits::from_config(config)))),
-        )
-    } else {
-        None
-    };
+    let placement = Placement::new(config, options);
 
     let meta: Vec<(String, String)> = tasks
         .iter()
@@ -314,9 +371,9 @@ pub fn run_campaign(
         .map(|task| {
             let shared = shared.as_ref();
             let counters = &counters;
-            let pool = pool.as_ref();
+            let placement = &placement;
             let worker: Box<dyn FnOnce() -> TableRow + Send + '_> =
-                Box::new(move || run_task(task, config, options, shared, pool, counters));
+                Box::new(move || run_task(task, config, options, shared, placement, counters));
             worker
         })
         .collect();
@@ -422,7 +479,7 @@ fn run_task(
     config: &CheckConfig,
     options: &CampaignOptions,
     shared: Option<&SharedJournal>,
-    pool: Option<&Arc<WorkerPool>>,
+    placement: &Placement,
     counters: &Counters,
 ) -> TableRow {
     let span = config.telemetry.child(SpanKind::Experiment, &task.span);
@@ -449,7 +506,7 @@ fn run_task(
                 &scoped,
                 *mode,
                 engine.clone(),
-                pool,
+                placement,
                 options,
                 1,
                 counters,
@@ -469,7 +526,7 @@ fn run_task(
                     &scoped,
                     options,
                     shared,
-                    pool,
+                    placement,
                     counters,
                 ) {
                     Ok(row) => {
@@ -499,7 +556,7 @@ fn run_task(
                         &scoped,
                         *mode,
                         engine.clone(),
-                        pool,
+                        placement,
                         options,
                         attempt,
                         counters,
@@ -555,7 +612,7 @@ fn run_task_clustered(
     scoped: &CheckConfig,
     options: &CampaignOptions,
     shared: &SharedJournal,
-    pool: Option<&Arc<WorkerPool>>,
+    placement: &Placement,
     counters: &Counters,
 ) -> Result<TableRow, Box<FpvTestbench>> {
     let Some(plan) = ft.cluster_plan(scoped) else {
@@ -575,7 +632,7 @@ fn run_task_clustered(
         counters.live.fetch_add(1, Ordering::Relaxed);
         let attempt = cached.map_or(1, |e| e.attempt + 1);
         let (report, hung) =
-            run_cluster_live(&ft, cluster, scoped, pool, options, attempt, counters);
+            run_cluster_live(&ft, cluster, scoped, placement, options, attempt, counters);
         let entry = JournalEntry {
             key,
             id: format!("{id}:{}", cluster.label),
@@ -597,7 +654,7 @@ fn run_cluster_live(
     ft: &Arc<FpvTestbench>,
     cluster: &PropertyCluster,
     scoped: &CheckConfig,
-    pool: Option<&Arc<WorkerPool>>,
+    placement: &Placement,
     options: &CampaignOptions,
     attempt: u32,
     counters: &Counters,
@@ -610,23 +667,10 @@ fn run_cluster_live(
         .filter(|_| options.hang_factor >= 1)
         .map(|budget| budget * options.hang_factor * cluster.members.len().max(1) as u32);
     let config = scoped.clone();
-    let pool = pool.map(Arc::clone);
-    let fleet = options.fleet.clone();
+    let engines = placement.engines(CheckMode::Check, 1);
     let ft_run = Arc::clone(ft);
     let cluster_run = cluster.clone();
-    let solve = move || match (&fleet, &pool) {
-        (Some(fleet), pool) => ft_run.check_cluster(
-            &cluster_run,
-            &config,
-            &FleetEngine::for_check(Arc::clone(fleet), pool.clone()),
-        ),
-        (None, Some(pool)) => ft_run.check_cluster(
-            &cluster_run,
-            &config,
-            &ProcEngine::for_check(Arc::clone(pool)),
-        ),
-        (None, None) => ft_run.check_cluster(&cluster_run, &config, &BmcEngine),
-    };
+    let solve = move || ft_run.check_cluster(&cluster_run, &config, &*engines[0]);
     let Some(limit) = limit else {
         return (solve(), false);
     };
@@ -741,7 +785,7 @@ fn run_live(
     scoped: &CheckConfig,
     mode: CheckMode,
     engine: Option<Arc<dyn CheckEngine + Send + Sync>>,
-    pool: Option<&Arc<WorkerPool>>,
+    placement: &Placement,
     options: &CampaignOptions,
     attempt: u32,
     counters: &Counters,
@@ -757,45 +801,12 @@ fn run_live(
         .filter(|_| options.hang_factor >= 1)
         .map(|budget| budget * options.hang_factor * serial_jobs);
     let config = scoped.clone();
-    let pool = pool.map(Arc::clone);
-    let fleet = options.fleet.clone();
-    let solve = move || match mode {
-        // An explicit engine override (the test seam) wins even over
-        // the fleet and isolation; then the fleet (with the pool as its
-        // fallback rung); then a pool substitutes the subprocess
-        // engines.
-        CheckMode::Check => match (engine, &fleet, &pool) {
-            (Some(engine), _, _) => ft.check_portfolio_with(&config, &*engine),
-            (None, Some(fleet), pool) => ft.check_portfolio_with(
-                &config,
-                &FleetEngine::for_check(Arc::clone(fleet), pool.clone()),
-            ),
-            (None, None, Some(pool)) => {
-                ft.check_portfolio_with(&config, &ProcEngine::for_check(Arc::clone(pool)))
-            }
-            (None, None, None) => ft.check_portfolio(&config),
-        },
-        CheckMode::Prove => match (&fleet, &pool) {
-            (Some(fleet), pool) => {
-                let induction = FleetEngine::for_prove(Arc::clone(fleet), pool.clone());
-                if config.jobs > 1 {
-                    let falsifier = FleetEngine::falsifier(Arc::clone(fleet), pool.clone());
-                    ft.prove_portfolio_with(&config, &[&induction, &falsifier])
-                } else {
-                    ft.prove_portfolio_with(&config, &[&induction])
-                }
-            }
-            (None, Some(pool)) => {
-                let induction = ProcEngine::for_prove(Arc::clone(pool));
-                if config.jobs > 1 {
-                    let falsifier = ProcEngine::falsifier(Arc::clone(pool));
-                    ft.prove_portfolio_with(&config, &[&induction, &falsifier])
-                } else {
-                    ft.prove_portfolio_with(&config, &[&induction])
-                }
-            }
-            (None, None) => ft.prove_portfolio(&config),
-        },
+    let placement = placement.clone();
+    // An explicit engine override (the test seam) wins over the
+    // placement, for bounded checks only.
+    let solve = move || match engine.filter(|_| mode == CheckMode::Check) {
+        Some(engine) => ft.check_portfolio_with(&config, &*engine),
+        None => placement.run(&ft, &config, mode),
     };
     let Some(limit) = limit else {
         return (solve(), false);

@@ -60,11 +60,11 @@ pub struct ReportArgs {
     /// `--isolate`: run each check attempt in a supervised worker
     /// subprocess (same answers, process-sized blast radius).
     pub isolate: bool,
-    /// `--memory-limit-mb N`: RSS ceiling per isolated worker, enforced
-    /// by the supervisor on every heartbeat. Implies nothing without
-    /// `--isolate`.
+    /// `--memory-limit-mb N`: RSS ceiling per worker, enforced by the
+    /// supervisor on every heartbeat: on `--isolate` workers, and with
+    /// `--listen` on the fleet's remote workers.
     pub memory_limit_mb: Option<u64>,
-    /// `--worker-heartbeat-ms N`: heartbeat period for isolated workers.
+    /// `--worker-heartbeat-ms N`: heartbeat period for workers.
     pub worker_heartbeat_ms: Option<u64>,
     /// `--certify`: demand an independently checked certificate for every
     /// conclusive verdict — a DRAT proof (checked by the self-contained
@@ -82,10 +82,6 @@ pub struct ReportArgs {
     /// `--fleet-grace-ms N`: with zero workers connected, jobs queued
     /// longer than this fall back to local execution.
     pub fleet_grace_ms: Option<u64>,
-    /// `--fleet-lease-ms N`: fixed per-dispatch lease, overriding the
-    /// budget-derived formula (fault-injection tests use this to expire
-    /// leases quickly).
-    pub fleet_lease_ms: Option<u64>,
 }
 
 impl Default for ReportArgs {
@@ -114,7 +110,6 @@ impl Default for ReportArgs {
             listen: None,
             lease_factor: None,
             fleet_grace_ms: None,
-            fleet_lease_ms: None,
         }
     }
 }
@@ -166,9 +161,6 @@ impl ReportArgs {
             }
             if let Some(ms) = self.fleet_grace_ms {
                 fc.fallback_grace = Duration::from_millis(ms);
-            }
-            if let Some(ms) = self.fleet_lease_ms {
-                fc.lease_override = Some(Duration::from_millis(ms.max(1)));
             }
             match Fleet::listen(addr, fc) {
                 Ok(fleet) => {
@@ -284,9 +276,27 @@ pub fn parse_report_args(usage: &str) -> ReportArgs {
 }
 
 fn parse_report_arg_list(usage: &str, args: impl Iterator<Item = String>) -> ReportArgs {
+    parse_flags(usage, args, |_, _| Ok(false))
+}
+
+/// The shared flag parser behind [`parse_report_args`], for a binary with
+/// flags of its own. `own` sees every argument first, with the remaining
+/// arguments to take a value from: it returns `Ok(true)` when it
+/// consumed the argument, `Ok(false)` to leave it to the shared flags,
+/// and `Err` to refuse it. Refused and unknown arguments print `usage`
+/// and exit with status 2.
+pub fn parse_flags(
+    usage: &str,
+    mut args: impl Iterator<Item = String>,
+    mut own: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+) -> ReportArgs {
     let mut parsed = ReportArgs::default();
-    let mut args = args.peekable();
     while let Some(arg) = args.next() {
+        match own(&arg, &mut args) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(msg) => die(usage, &msg),
+        }
         match arg.as_str() {
             "--jobs" => {
                 parsed.jobs = args
@@ -416,14 +426,6 @@ fn parse_report_arg_list(usage: &str, args: impl Iterator<Item = String>) -> Rep
                         }),
                 );
             }
-            "--fleet-lease-ms" => {
-                parsed.fleet_lease_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .filter(|&m| m >= 1)
-                        .unwrap_or_else(|| die(usage, "--fleet-lease-ms needs a positive integer")),
-                );
-            }
             "--stable" => parsed.stable = true,
             "--detailed" => parsed.detailed = true,
             "--help" | "-h" => {
@@ -485,6 +487,26 @@ mod tests {
         assert_eq!(a.timeout, Some(Duration::from_secs(600)));
         assert_eq!(a.poll_interval, 32);
         assert_eq!(a.profile.as_deref(), Some(Path::new("out.json")));
+    }
+
+    #[test]
+    fn own_flags_are_offered_first_and_take_their_values() {
+        let mut threshold = None;
+        let a = parse_flags(
+            "usage",
+            ["--threshold", "5", "--depth", "9"]
+                .map(String::from)
+                .into_iter(),
+            |arg, rest| match arg {
+                "--threshold" => {
+                    threshold = rest.next();
+                    Ok(true)
+                }
+                _ => Ok(false),
+            },
+        );
+        assert_eq!(threshold.as_deref(), Some("5"));
+        assert_eq!(a.depth, Some(9), "the rest goes to the shared flags");
     }
 
     #[test]

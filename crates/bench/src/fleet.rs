@@ -30,17 +30,20 @@
 //! `config_fingerprint`: journals written by fleet campaigns
 //! interoperate with local ones, exactly like `--isolate`.
 
-use crate::workers::{ProcEngine, WorkerLimits, WorkerPool};
+use crate::workers::{
+    await_hello, lock_clean, watch_job, wire_mode, wire_name, KillLedger, ProcEngine, Watched,
+    WorkerLimits, WorkerPool,
+};
 use autocc_bmc::{
-    content_key, CancelToken, CheckConfig, CheckEngine, CheckMode, CheckSpec, ContentKey,
-    EngineOutcome, EngineRun, FailureReason, JobFailure, UnknownCause,
+    content_key, CancelToken, CheckConfig, CheckEngine, CheckSpec, ContentKey, EngineOutcome,
+    EngineRun, FailureReason, UnknownCause,
 };
 use autocc_journal::ipc::{
-    ack_json, job_json, parse_hello, parse_remote_frame, request_json, wire_engine, write_frame,
-    NetFrameReader, NetRead, RemoteFrame,
+    ack_json, job_json, request_json, split_connection, wire_engine, write_frame, FrameReader,
+    Polled,
 };
 use autocc_journal::json::Json;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -56,9 +59,6 @@ pub struct FleetConfig {
     pub lease_factor: u64,
     /// Lease when the check has no time budget.
     pub default_lease: Duration,
-    /// Fixed per-dispatch lease overriding the budget-derived formula
-    /// (`--fleet-lease-ms`; fault tests use it to expire leases fast).
-    pub lease_override: Option<Duration>,
     /// With zero workers connected, a job queued longer than this falls
     /// back to local execution instead of waiting for an attach.
     pub fallback_grace: Duration,
@@ -72,12 +72,26 @@ pub struct FleetConfig {
     pub limits: WorkerLimits,
 }
 
+impl FleetConfig {
+    /// The lease for one dispatch of work with `time_budget` per
+    /// property over `props` properties. Saturates rather than wraps, so
+    /// a huge factor means a long lease, never an instant expiry.
+    fn lease(&self, time_budget: Option<Duration>, props: usize) -> Duration {
+        let clamp = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
+        match time_budget {
+            Some(tb) => tb
+                .saturating_mul(clamp(self.lease_factor.max(1)))
+                .saturating_mul(clamp(props.max(1) as u64)),
+            None => self.default_lease,
+        }
+    }
+}
+
 impl Default for FleetConfig {
     fn default() -> FleetConfig {
         FleetConfig {
             lease_factor: 4,
             default_lease: Duration::from_secs(600),
-            lease_override: None,
             fallback_grace: Duration::from_secs(2),
             max_remote_attempts: 3,
             hello_deadline: Duration::from_secs(10),
@@ -190,8 +204,7 @@ pub struct Fleet {
     addr: SocketAddr,
     next_job: AtomicU64,
     counters: FleetCounters,
-    kills: Mutex<HashMap<ContentKey, u32>>,
-    quarantined: Mutex<HashSet<ContentKey>>,
+    ledger: KillLedger,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -221,6 +234,7 @@ impl Fleet {
     pub fn listen(addr: &str, config: FleetConfig) -> std::io::Result<Arc<Fleet>> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let ledger = KillLedger::new(config.limits.quarantine_after);
         let fleet = Arc::new(Fleet {
             shared: Mutex::new(FleetShared {
                 queue: VecDeque::new(),
@@ -232,8 +246,7 @@ impl Fleet {
             addr,
             next_job: AtomicU64::new(1),
             counters: FleetCounters::default(),
-            kills: Mutex::new(HashMap::new()),
-            quarantined: Mutex::new(HashSet::new()),
+            ledger,
             threads: Mutex::new(Vec::new()),
         });
         let accept = {
@@ -338,26 +351,6 @@ impl Fleet {
         lock_clean(&self.shared).shutdown
     }
 
-    /// Records a worker kill attributable to `key` (death, stall,
-    /// malformed stream, over-memory — *not* lease expiry) and
-    /// quarantines the check once it reaches the shared threshold.
-    fn record_kill(&self, key: ContentKey) -> u32 {
-        let count = {
-            let mut kills = lock_clean(&self.kills);
-            let count = kills.entry(key).or_insert(0);
-            *count += 1;
-            *count
-        };
-        if count >= self.config.limits.quarantine_after {
-            lock_clean(&self.quarantined).insert(key);
-        }
-        count
-    }
-
-    fn is_quarantined(&self, key: ContentKey) -> bool {
-        lock_clean(&self.quarantined).contains(&key)
-    }
-
     /// Returns a job to the queue after its owner lost it. No-op when
     /// the result was already delivered (the owner resurfaced late).
     fn requeue(&self, job: &Job) {
@@ -445,7 +438,7 @@ impl Fleet {
         if state.delivered {
             return None; // answered while queued (late result accepted)
         }
-        if self.is_quarantined(state.key) {
+        if self.ledger.is_quarantined(state.key) {
             let reason = "check quarantined after repeatedly killing remote workers";
             deliver_fallback_locked(&mut state, reason, &self.counters);
             return None;
@@ -537,32 +530,15 @@ impl Fleet {
     /// dispatch → supervise loop until the connection dies or the
     /// fleet shuts down.
     fn run_agent(self: Arc<Fleet>, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-        let writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
+        let Ok((mut reader, mut writer)) = split_connection(stream) else {
+            return;
         };
-        let mut reader = NetFrameReader::new(stream);
-        // Registration: a half-open or silent socket must not get past
-        // the hello deadline.
-        let hello_deadline = Instant::now() + self.config.hello_deadline;
-        loop {
-            match reader.poll_frame(Duration::from_millis(200)) {
-                Ok(NetRead::Frame(frame)) => match parse_hello(&frame) {
-                    Ok(_worker) => break,
-                    Err(_) => return, // wrong protocol: refuse
-                },
-                Ok(NetRead::Timeout) => {
-                    if Instant::now() >= hello_deadline || self.is_shutdown() {
-                        return;
-                    }
-                }
-                Ok(NetRead::Eof) | Err(_) => return,
-            }
+        // Registration: a half-open or silent socket, or a worker in
+        // another protocol version, must not get past the hello.
+        if await_hello(&mut reader, self.config.hello_deadline).is_err() {
+            return;
         }
         self.register_worker();
-        let mut writer = writer;
         loop {
             match self.claim(Duration::from_millis(100)) {
                 Claim::Shutdown => break,
@@ -570,20 +546,20 @@ impl Fleet {
                     // Probe the idle connection so a worker that died
                     // between jobs is deregistered promptly.
                     match reader.poll_frame(Duration::from_millis(1)) {
-                        Ok(NetRead::Timeout) => {}
-                        Ok(NetRead::Frame(_)) => {
+                        Ok(Polled::Timeout) => {}
+                        Ok(Polled::Frame(_)) => {
                             // Stray frame between jobs: stale noise from
                             // an earlier lease; drop it.
                             self.counters
                                 .duplicate_results
                                 .fetch_add(1, Ordering::Relaxed);
                         }
-                        Ok(NetRead::Eof) | Err(_) => break,
+                        Ok(Polled::Eof) | Err(_) => break,
                     }
                 }
                 Claim::Job(job, id, gen, request, lease) => {
                     let lease_ms = lease.as_millis().min(u128::from(u64::MAX)) as u64;
-                    let frame = job_json(id, Some(lease_ms), &request);
+                    let frame = job_json(id, Some(lease_ms), request);
                     if write_frame(&mut writer, &frame).is_err() {
                         // Dead before dispatch: not the check's fault.
                         self.requeue(&job);
@@ -602,113 +578,65 @@ impl Fleet {
     /// the connection is still healthy enough for another claim.
     fn supervise_job(
         &self,
-        reader: &mut NetFrameReader,
+        reader: &mut FrameReader,
         writer: &mut TcpStream,
         job: &Job,
         id: u64,
         gen: u64,
         lease: Duration,
     ) -> bool {
-        let limits = self.config.limits;
-        let heartbeat_ms = limits.heartbeat_ms.max(1);
-        let quantum = Duration::from_millis(heartbeat_ms.min(100));
-        let stall_limit = Duration::from_millis(heartbeat_ms.saturating_mul(limits.stall_factor));
         let key = lock_clean(job).key;
         let lease_deadline = Instant::now() + lease;
-        let mut last_beat = Instant::now();
         // `leased` drops to false once the lease expires: the job has
         // been requeued, but the connection keeps draining so a late
         // result is recognized (and dropped) instead of desynchronizing
         // the frame stream.
         let mut leased = true;
-        loop {
-            match reader.poll_frame(quantum) {
-                Ok(NetRead::Frame(frame)) => match parse_remote_frame(&frame) {
-                    Ok(RemoteFrame::Heartbeat {
-                        job: hb_job,
-                        rss_kb,
-                    }) => {
-                        last_beat = Instant::now();
-                        if hb_job != id {
-                            continue; // stale liveness from an old lease
-                        }
-                        if let (Some(rss_kb), Some(limit_mb)) = (rss_kb, limits.memory_limit_mb) {
-                            if rss_kb > limit_mb.saturating_mul(1024) {
-                                self.record_kill(key);
-                                if leased {
-                                    self.requeue(job);
-                                }
-                                return false; // close: worker over limit
-                            }
-                        }
-                    }
-                    Ok(RemoteFrame::Result { job: res_job, run }) => {
-                        if res_job != id {
-                            // A duplicate of an older job's result.
-                            self.counters
-                                .duplicate_results
-                                .fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        // At-most-once: `deliver` refuses stale
-                        // generations and double-reports.
-                        self.deliver(job, gen, run);
-                        // Ack regardless: the worker needs it to move
-                        // on, and a dropped duplicate is its problem
-                        // to not have sent.
-                        return write_frame(writer, &ack_json(id)).is_ok();
-                    }
-                    Ok(RemoteFrame::Hello { .. }) | Err(_) => {
-                        // Protocol violation mid-job: treat as death.
-                        self.record_kill(key);
-                        if leased {
-                            self.requeue(job);
-                        }
-                        return false;
-                    }
-                },
-                Ok(NetRead::Timeout) => {
-                    if self.is_shutdown() {
-                        if leased {
-                            deliver_fallback(job, "fleet shut down mid-solve", &self.counters);
-                        }
-                        return false;
-                    }
-                    if last_beat.elapsed() > stall_limit {
-                        // Silent worker: the same reap `--isolate` does.
-                        self.record_kill(key);
-                        if leased {
-                            self.requeue(job);
-                        }
-                        return false;
-                    }
-                    if leased && Instant::now() >= lease_deadline {
-                        // Lease expiry is not a kill: the worker may be
-                        // honestly slow. The job is re-dispatched; this
-                        // connection keeps draining.
-                        self.counters.leases_expired.fetch_add(1, Ordering::Relaxed);
-                        self.requeue(job);
-                        leased = false;
-                    }
+        let stop = || {
+            if self.is_shutdown() {
+                return true;
+            }
+            if leased && Instant::now() >= lease_deadline {
+                // Lease expiry is not a kill: the worker may be honestly
+                // slow. The job is re-dispatched; this connection keeps
+                // draining.
+                self.counters.leases_expired.fetch_add(1, Ordering::Relaxed);
+                self.requeue(job);
+                leased = false;
+            }
+            false
+        };
+        let duplicate = || {
+            self.counters
+                .duplicate_results
+                .fetch_add(1, Ordering::Relaxed);
+        };
+        let limits = self.config.limits;
+        match watch_job(reader, id, &limits, &mut 0, stop, duplicate) {
+            Watched::Answered(run) => {
+                // At-most-once: `deliver` refuses stale generations and
+                // double-reports. Ack regardless: the worker needs it to
+                // move on.
+                self.deliver(job, gen, run);
+                write_frame(writer, &ack_json(id)).is_ok()
+            }
+            Watched::Stopped => {
+                if leased {
+                    deliver_fallback(job, "fleet shut down mid-solve", &self.counters);
                 }
-                Ok(NetRead::Eof) | Err(_) => {
-                    // Died mid-job (clean close, mid-frame cut, or
-                    // reset): requeue if we still own it.
-                    self.record_kill(key);
-                    if leased {
-                        self.requeue(job);
-                    }
-                    return false;
+                false
+            }
+            Watched::Lost(_) => {
+                // Died, stalled, over memory or broke protocol: a kill,
+                // and the job goes back on the queue if still ours.
+                self.ledger.record(key);
+                if leased {
+                    self.requeue(job);
                 }
+                false
             }
         }
     }
-}
-
-/// Mutex access that shrugs off poisoning (fleet bookkeeping must stay
-/// usable even if an agent thread panicked mid-update).
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn deliver_fallback(job: &Job, reason: &str, counters: &FleetCounters) {
@@ -738,64 +666,38 @@ pub struct FleetEngine {
     /// Local subprocess pool for the fallback rung; `None` falls back
     /// straight to in-process.
     pool: Option<Arc<WorkerPool>>,
-    wire_engine: &'static str,
-    engine_name: &'static str,
-    mode: CheckMode,
+    wire: &'static str,
 }
 
 impl FleetEngine {
     /// Fleet-dispatched BMC for check campaigns.
     pub fn for_check(fleet: Arc<Fleet>, pool: Option<Arc<WorkerPool>>) -> FleetEngine {
-        FleetEngine {
-            fleet,
-            pool,
-            wire_engine: "bmc",
-            engine_name: "bmc",
-            mode: CheckMode::Check,
-        }
+        FleetEngine::new(fleet, pool, "bmc")
     }
 
     /// Fleet-dispatched k-induction for prove campaigns.
     pub fn for_prove(fleet: Arc<Fleet>, pool: Option<Arc<WorkerPool>>) -> FleetEngine {
-        FleetEngine {
-            fleet,
-            pool,
-            wire_engine: "k-induction",
-            engine_name: "k-induction",
-            mode: CheckMode::Prove,
-        }
+        FleetEngine::new(fleet, pool, "k-induction")
     }
 
     /// Fleet-dispatched falsifier (reports as "bmc", like its local
     /// counterparts).
     pub fn falsifier(fleet: Arc<Fleet>, pool: Option<Arc<WorkerPool>>) -> FleetEngine {
-        FleetEngine {
-            fleet,
-            pool,
-            wire_engine: "falsifier-bmc",
-            engine_name: "bmc",
-            mode: CheckMode::Prove,
-        }
+        FleetEngine::new(fleet, pool, "falsifier-bmc")
     }
 
-    /// The lease for one dispatch of `config`-budgeted work over
-    /// `props` properties.
-    fn lease_for(&self, config: &CheckConfig, props: usize) -> Duration {
-        if let Some(lease) = self.fleet.config.lease_override {
-            return lease;
-        }
-        let factor = self.fleet.config.lease_factor.max(1);
-        match config.time_budget {
-            Some(tb) => tb
-                .saturating_mul(factor as u32)
-                .saturating_mul(props.max(1) as u32),
-            None => self.fleet.config.default_lease,
-        }
+    /// The fleet-dispatched form of wire engine `wire`.
+    pub(crate) fn new(
+        fleet: Arc<Fleet>,
+        pool: Option<Arc<WorkerPool>>,
+        wire: &'static str,
+    ) -> FleetEngine {
+        FleetEngine { fleet, pool, wire }
     }
 
-    /// The local rungs of the degradation ladder: `ProcEngine` when a
-    /// pool is available, in-process as the floor. In-process only
-    /// replaces a pool failure when the pool could not even spawn — a
+    /// The local rungs of the degradation ladder: the same wire engine
+    /// on the pool when there is one, in-process as the floor. In-process
+    /// only replaces the pool when the pool could not even spawn — a
     /// check that *kills* local workers must stay contained.
     fn run_fallback(
         &self,
@@ -804,39 +706,20 @@ impl FleetEngine {
         cancel: &CancelToken,
     ) -> EngineRun {
         if let Some(pool) = &self.pool {
-            let engine = match (self.mode, self.wire_engine) {
-                (CheckMode::Check, _) => ProcEngine::for_check(Arc::clone(pool)),
-                (CheckMode::Prove, "falsifier-bmc") => ProcEngine::falsifier(Arc::clone(pool)),
-                (CheckMode::Prove, _) => ProcEngine::for_prove(Arc::clone(pool)),
-            };
-            let run = engine.check(spec, config, cancel);
-            let spawn_failed = matches!(
-                &run.outcome,
-                EngineOutcome::Failed(f)
-                    if f.reason == FailureReason::WorkerDied
-                        && f.detail.contains("failed to spawn worker")
-            );
-            if !spawn_failed {
+            let engine = ProcEngine::new(Arc::clone(pool), self.wire);
+            if let Ok(run) = engine.try_check(spec, config, cancel) {
                 return run;
             }
         }
-        match wire_engine(self.wire_engine) {
-            Some(engine) => engine.check(spec, config, cancel),
-            None => EngineRun::from(EngineOutcome::Failed(JobFailure {
-                engine: self.engine_name.to_string(),
-                property: None,
-                depth: 0,
-                reason: FailureReason::WorkerDied,
-                detail: format!("no in-process engine for `{}`", self.wire_engine),
-                attempts: 1,
-            })),
-        }
+        wire_engine(self.wire)
+            .expect("fleet engines are built from known wire engines")
+            .check(spec, config, cancel)
     }
 }
 
 impl CheckEngine for FleetEngine {
     fn name(&self) -> &'static str {
-        self.engine_name
+        wire_name(self.wire)
     }
 
     fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
@@ -845,7 +728,7 @@ impl CheckEngine for FleetEngine {
             &spec.properties,
             &spec.constraints,
             config,
-            self.mode,
+            wire_mode(self.wire),
         );
         let limits = self.fleet.config.limits;
         let policy = config.retry_policy();
@@ -859,13 +742,16 @@ impl CheckEngine for FleetEngine {
                 .conflicts(conflicts)
                 .heartbeat_ms(limits.heartbeat_ms.max(1));
             let request = request_json(
-                self.wire_engine,
+                self.wire,
                 spec.module,
                 &spec.properties,
                 &spec.constraints,
                 &wire_config,
             );
-            let lease = self.lease_for(config, spec.properties.len());
+            let lease = self
+                .fleet
+                .config
+                .lease(config.time_budget, spec.properties.len());
             let ticket = self.fleet.submit(request, lease, key);
             let verdict = loop {
                 match ticket.rx.recv_timeout(Duration::from_millis(100)) {
@@ -904,5 +790,79 @@ impl CheckEngine for FleetEngine {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use autocc_bmc::BmcEngine;
+    use autocc_hdl::{Bv, ModuleBuilder};
+
+    /// A pool that cannot spawn is the one case where the fallback
+    /// ladder drops to in-process: the check must still get its answer,
+    /// and no kill is charged to it, whatever the retry policy.
+    #[test]
+    fn unspawnable_pool_falls_back_in_process() {
+        let mut b = ModuleBuilder::new("probe");
+        let inc = b.input("inc", 1);
+        let ra = b.reg("a", 4, Bv::zero(4));
+        let one = b.lit(4, 1);
+        let na = b.add(ra, one);
+        let next = b.mux(inc, na, ra);
+        b.set_next(ra, next);
+        let five = b.lit(4, 5);
+        let ok = b.ult(ra, five);
+        b.output("small", ok);
+        let module = b.build();
+        let spec = CheckSpec {
+            module: &module,
+            properties: vec![("small".to_string(), ok)],
+            constraints: Vec::new(),
+            group: None,
+        };
+        let config = CheckConfig::default().depth(8).no_timeout();
+        let expected = BmcEngine.check(&spec, &config, &CancelToken::new());
+
+        let fleet = Fleet::listen(
+            "127.0.0.1:0",
+            FleetConfig {
+                fallback_grace: Duration::from_millis(20),
+                ..FleetConfig::default()
+            },
+        )
+        .expect("fleet listens");
+        let pool = Arc::new(
+            WorkerPool::new(WorkerLimits::default()).with_command("/nonexistent/autocc-worker"),
+        );
+        let engine = FleetEngine::for_check(Arc::clone(&fleet), Some(Arc::clone(&pool)));
+        let run = engine.check(&spec, &config, &CancelToken::new());
+        fleet.shutdown();
+
+        assert_eq!(
+            format!("{:?}", run.outcome),
+            format!("{:?}", expected.outcome)
+        );
+        assert_eq!(pool.quarantined_count(), 0, "a spawn failure is no kill");
+    }
+
+    #[test]
+    fn lease_formula_saturates_instead_of_wrapping() {
+        let config = FleetConfig {
+            lease_factor: 3,
+            ..FleetConfig::default()
+        };
+        let budget = Some(Duration::from_millis(100));
+        assert_eq!(config.lease(budget, 2), Duration::from_millis(600));
+        assert_eq!(config.lease(budget, 0), Duration::from_millis(300));
+        assert_eq!(config.lease(None, 5), config.default_lease);
+        // 2^32 truncated to u32 is 0, which would expire every lease at
+        // once and bounce each job until it fell back.
+        let huge = FleetConfig {
+            lease_factor: 1 << 32,
+            ..FleetConfig::default()
+        };
+        let lease = huge.lease(Some(Duration::from_millis(300)), 1);
+        assert!(lease >= Duration::from_millis(300) * u32::MAX, "{lease:?}");
     }
 }

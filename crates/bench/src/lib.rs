@@ -16,8 +16,11 @@ pub mod fleet;
 pub mod workers;
 pub use campaign::{
     run_campaign, CampaignError, CampaignOptions, CampaignOutcome, CampaignStats, CampaignTask,
+    Placement,
 };
-pub use cli::{finish_fleet, finish_profile, parse_report_args, ProfileSink, ReportArgs};
+pub use cli::{
+    finish_fleet, finish_profile, parse_flags, parse_report_args, ProfileSink, ReportArgs,
+};
 pub use experiments::*;
 pub use fleet::{Fleet, FleetConfig, FleetEngine, FleetStats, FleetVerdict};
 pub use workers::{maybe_run_worker, ProcEngine, WorkerLimits, WorkerPool};

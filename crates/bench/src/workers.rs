@@ -1,14 +1,15 @@
 //! Process-isolated check execution: a [`CheckEngine`] that runs each
-//! attempt in a supervised worker subprocess.
+//! attempt in a supervised worker subprocess, and the supervision both
+//! `--isolate` and the remote fleet share.
 //!
 //! In-process fault containment (panic catching, in-solver budgets) can
 //! not survive the faults that kill the *process*: an OOM kill, a
 //! runaway allocation, an `abort` in a dependency, a wedged solver that
 //! stops polling its budgets. [`ProcEngine`] moves the blast radius of
-//! one check attempt into a child process: the campaign supervisor
-//! ships the COI-relevant miter over the [`autocc_journal::ipc`]
-//! protocol, watches heartbeats for liveness and RSS, and maps every
-//! way a worker can die onto the existing failure taxonomy
+//! one check attempt into a child process that speaks the
+//! [`autocc_journal::ipc`] dialect on its stdio. [`watch_job`] watches
+//! a dispatched job for heartbeats and RSS on either transport, and maps
+//! every way a worker can be lost onto the failure taxonomy
 //! ([`FailureReason::WorkerDied`], [`FailureReason::MemoryLimit`],
 //! [`FailureReason::Hang`]) so a dead worker degrades one table row and
 //! nothing else.
@@ -31,16 +32,17 @@ use autocc_bmc::{
     content_key, CancelToken, CheckConfig, CheckEngine, CheckMode, CheckSpec, ContentKey,
     EngineOutcome, EngineRun, FailureReason, JobFailure, UnknownCause,
 };
-use autocc_journal::ipc::{parse_worker_frame, read_frame, request_json, write_frame, WorkerFrame};
-use std::collections::{HashMap, HashSet};
-use std::io::BufReader;
+use autocc_journal::ipc::{
+    ack_json, job_json, parse_worker_message, request_json, wire_engine, write_frame, FrameReader,
+    Polled, WorkerMessage,
+};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Resource limits and supervision policy for isolated workers.
+/// Resource limits and supervision policy for workers, local or remote.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerLimits {
     /// RSS ceiling per worker, in MiB; `None` = unlimited. Enforced from
@@ -76,6 +78,58 @@ impl WorkerLimits {
             ..WorkerLimits::default()
         }
     }
+
+    /// How long a worker may stay silent before it counts as wedged.
+    fn stall_limit(&self) -> Duration {
+        Duration::from_millis(self.heartbeat_ms.max(1).saturating_mul(self.stall_factor))
+    }
+}
+
+/// Mutex access that shrugs off poisoning: supervisor bookkeeping must
+/// stay usable even if some other attempt panicked mid-update.
+pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Per-check worker kill counts, keyed by [`content_key`]. A check whose
+/// count reaches `quarantine_after` is quarantined.
+#[derive(Debug)]
+pub(crate) struct KillLedger {
+    quarantine_after: u32,
+    kills: Mutex<HashMap<ContentKey, u32>>,
+}
+
+impl KillLedger {
+    pub(crate) fn new(quarantine_after: u32) -> KillLedger {
+        KillLedger {
+            quarantine_after,
+            kills: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Records that a worker running `key` was lost (died, broke
+    /// protocol, stalled, or exceeded memory — not a lease expiry).
+    /// Returns the updated kill count.
+    pub(crate) fn record(&self, key: ContentKey) -> u32 {
+        let mut kills = lock_clean(&self.kills);
+        let count = kills.entry(key).or_insert(0);
+        *count += 1;
+        *count
+    }
+
+    /// Whether `key` has killed enough workers to be quarantined.
+    pub(crate) fn is_quarantined(&self, key: ContentKey) -> bool {
+        lock_clean(&self.kills)
+            .get(&key)
+            .is_some_and(|&n| n >= self.quarantine_after)
+    }
+
+    fn quarantined_count(&self) -> usize {
+        lock_clean(&self.kills)
+            .values()
+            .filter(|&&n| n >= self.quarantine_after)
+            .count()
+    }
 }
 
 /// Shared supervisor state for a campaign's isolated workers: how to
@@ -84,10 +138,8 @@ impl WorkerLimits {
 pub struct WorkerPool {
     limits: WorkerLimits,
     command: PathBuf,
-    args: Vec<String>,
     env: Vec<(String, String)>,
-    kills: Mutex<HashMap<ContentKey, u32>>,
-    quarantined: Mutex<HashSet<ContentKey>>,
+    ledger: KillLedger,
 }
 
 impl WorkerPool {
@@ -98,10 +150,8 @@ impl WorkerPool {
         WorkerPool {
             limits,
             command,
-            args: vec!["worker".to_string()],
             env: Vec::new(),
-            kills: Mutex::new(HashMap::new()),
-            quarantined: Mutex::new(HashSet::new()),
+            ledger: KillLedger::new(limits.quarantine_after),
         }
     }
 
@@ -127,33 +177,17 @@ impl WorkerPool {
 
     /// Whether `key` has been quarantined.
     pub fn is_quarantined(&self, key: ContentKey) -> bool {
-        lock_clean(&self.quarantined).contains(&key)
+        self.ledger.is_quarantined(key)
     }
 
     /// Number of quarantined checks so far.
     pub fn quarantined_count(&self) -> usize {
-        lock_clean(&self.quarantined).len()
-    }
-
-    /// Records that a worker running `key` was killed (died, stalled, or
-    /// exceeded memory). Returns the updated kill count and quarantines
-    /// the key once it reaches `quarantine_after`.
-    fn record_kill(&self, key: ContentKey) -> u32 {
-        let count = {
-            let mut kills = lock_clean(&self.kills);
-            let count = kills.entry(key).or_insert(0);
-            *count += 1;
-            *count
-        };
-        if count >= self.limits.quarantine_after {
-            lock_clean(&self.quarantined).insert(key);
-        }
-        count
+        self.ledger.quarantined_count()
     }
 
     fn spawn(&self) -> std::io::Result<Child> {
         let mut cmd = Command::new(&self.command);
-        cmd.args(&self.args)
+        cmd.arg("worker")
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
@@ -164,25 +198,132 @@ impl WorkerPool {
     }
 }
 
-/// Mutex access that shrugs off poisoning: pool bookkeeping must stay
-/// usable even if some other attempt panicked mid-update.
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+// ---------------------------------------------------------------------
+// Supervision, shared by `--isolate` and the fleet
+// ---------------------------------------------------------------------
+
+/// Why a worker was lost: the failure reason and its detail.
+pub(crate) type Loss = (FailureReason, String);
+
+/// How watching a worker ended.
+pub(crate) enum Watched {
+    /// The worker answered the dispatched job.
+    Answered(EngineRun),
+    /// The caller asked to stop watching (cancellation, shutdown).
+    Stopped,
+    /// The worker is lost — it died, broke protocol, went silent, or
+    /// exceeded the RSS ceiling — and counts as killed by its check.
+    Lost(Loss),
 }
 
-/// How one worker attempt ended, before failure-taxonomy mapping.
-enum Attempt {
-    /// The worker answered; its result frame.
-    Finished(EngineRun),
-    /// The supervisor observed a cancellation and killed the worker.
-    Cancelled { proven_depth: usize },
-    /// The worker died (crash, SIGKILL, malformed stream, refused spawn).
-    Died(String),
-    /// The worker exceeded the RSS limit and was killed.
-    OverMemory { rss_kb: u64 },
-    /// The worker stopped heartbeating and was killed.
-    Stalled { silent_ms: u64 },
+fn died(cause: impl std::fmt::Display) -> Loss {
+    (FailureReason::WorkerDied, cause.to_string())
 }
+
+fn silent(for_: Duration) -> Loss {
+    let detail = format!(
+        "worker heartbeat silent for {} ms; killed",
+        for_.as_millis()
+    );
+    (FailureReason::Hang, detail)
+}
+
+const NO_RESULT: &str = "worker exited without a result frame";
+
+/// Reads a worker's `hello`, the first frame on every stream, waiting
+/// at most `within`; `Err` says how the worker was lost instead.
+pub(crate) fn await_hello(reader: &mut FrameReader, within: Duration) -> Result<(), Loss> {
+    match reader.poll_frame(within) {
+        Ok(Polled::Frame(frame)) => match parse_worker_message(&frame) {
+            Ok(WorkerMessage::Hello { .. }) => Ok(()),
+            Ok(_) => Err(died("malformed worker frame: expected hello")),
+            Err(e) => Err(died(format!("malformed worker frame: {e}"))),
+        },
+        Ok(Polled::Timeout) => Err(silent(within)),
+        Ok(Polled::Eof) => Err(died(NO_RESULT)),
+        Err(e) => Err(died(format!("{NO_RESULT}: {e}"))),
+    }
+}
+
+/// Watches dispatched job `job` on `reader` until the worker answers it
+/// or is lost: dead stream, protocol violation, a heartbeat silence past
+/// the stall limit, or an RSS reading past the ceiling. `stop` runs
+/// before every poll and ends the watch when it returns true; it is
+/// also where a fleet expires leases. Frames answering another job id
+/// are stale: heartbeats still prove liveness, results go to `stale`.
+pub(crate) fn watch_job(
+    reader: &mut FrameReader,
+    job: u64,
+    limits: &WorkerLimits,
+    rss_peak_kb: &mut u64,
+    mut stop: impl FnMut() -> bool,
+    mut stale: impl FnMut(),
+) -> Watched {
+    let quantum = Duration::from_millis(limits.heartbeat_ms.clamp(1, 100));
+    let stall_limit = limits.stall_limit();
+    let mut last_beat = Instant::now();
+    loop {
+        if stop() {
+            return Watched::Stopped;
+        }
+        if last_beat.elapsed() > stall_limit {
+            return Watched::Lost(silent(last_beat.elapsed()));
+        }
+        let frame = match reader.poll_frame(quantum) {
+            Ok(Polled::Frame(frame)) => frame,
+            Ok(Polled::Timeout) => continue,
+            Ok(Polled::Eof) => return Watched::Lost(died(NO_RESULT)),
+            Err(e) => return Watched::Lost(died(format!("{NO_RESULT}: {e}"))),
+        };
+        match parse_worker_message(&frame) {
+            Ok(WorkerMessage::Heartbeat { job: id, rss_kb }) => {
+                last_beat = Instant::now();
+                let Some(rss_kb) = rss_kb.filter(|_| id == job) else {
+                    continue;
+                };
+                *rss_peak_kb = (*rss_peak_kb).max(rss_kb);
+                if let Some(limit_mb) = limits.memory_limit_mb {
+                    if rss_kb > limit_mb.saturating_mul(1024) {
+                        let detail =
+                            format!("worker RSS {rss_kb} KiB exceeded the {limit_mb} MiB limit");
+                        return Watched::Lost((FailureReason::MemoryLimit, detail));
+                    }
+                }
+            }
+            Ok(WorkerMessage::Result { job: id, run }) if id == job => {
+                return Watched::Answered(run)
+            }
+            Ok(WorkerMessage::Result { .. }) => stale(),
+            Ok(WorkerMessage::Hello { .. }) => {
+                return Watched::Lost(died("malformed worker frame: hello in mid-job"))
+            }
+            Err(e) => return Watched::Lost(died(format!("malformed worker frame: {e}"))),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Wire engines
+// ---------------------------------------------------------------------
+
+/// The report name of a wire engine (see [`wire_engine`]): a falsifier
+/// reports as the engine it wraps.
+pub(crate) fn wire_name(wire: &str) -> &'static str {
+    wire_engine(wire).map_or("unknown", |engine| engine.name())
+}
+
+/// The mode a wire engine's content key is computed in: BMC answers a
+/// bounded check, the other engines take part in a proof.
+pub(crate) fn wire_mode(wire: &str) -> CheckMode {
+    if wire == "bmc" {
+        CheckMode::Check
+    } else {
+        CheckMode::Prove
+    }
+}
+
+/// A local worker serves one job, so its job id is fixed.
+const LOCAL_JOB: u64 = 1;
 
 /// A [`CheckEngine`] that runs each attempt in a supervised subprocess.
 ///
@@ -195,46 +336,34 @@ enum Attempt {
 #[derive(Clone)]
 pub struct ProcEngine {
     pool: Arc<WorkerPool>,
-    wire_engine: &'static str,
-    engine_name: &'static str,
-    mode: CheckMode,
+    wire: &'static str,
 }
 
 impl ProcEngine {
     /// Isolated BMC: the engine behind `--isolate` check campaigns.
     pub fn for_check(pool: Arc<WorkerPool>) -> ProcEngine {
-        ProcEngine {
-            pool,
-            wire_engine: "bmc",
-            engine_name: "bmc",
-            mode: CheckMode::Check,
-        }
+        ProcEngine::new(pool, "bmc")
     }
 
     /// Isolated k-induction for prove campaigns.
     pub fn for_prove(pool: Arc<WorkerPool>) -> ProcEngine {
-        ProcEngine {
-            pool,
-            wire_engine: "k-induction",
-            engine_name: "k-induction",
-            mode: CheckMode::Prove,
-        }
+        ProcEngine::new(pool, "k-induction")
     }
 
     /// Isolated falsifier (BMC hunting a counterexample inside a proof
     /// race; reports as "bmc", like its in-process counterpart).
     pub fn falsifier(pool: Arc<WorkerPool>) -> ProcEngine {
-        ProcEngine {
-            pool,
-            wire_engine: "falsifier-bmc",
-            engine_name: "bmc",
-            mode: CheckMode::Prove,
-        }
+        ProcEngine::new(pool, "falsifier-bmc")
+    }
+
+    /// The isolated form of wire engine `wire`.
+    pub(crate) fn new(pool: Arc<WorkerPool>, wire: &'static str) -> ProcEngine {
+        ProcEngine { pool, wire }
     }
 
     fn failure(&self, reason: FailureReason, detail: String, attempts: u32) -> EngineRun {
         EngineRun::from(EngineOutcome::Failed(JobFailure {
-            engine: self.engine_name.to_string(),
+            engine: wire_name(self.wire).to_string(),
             property: None,
             depth: 0,
             reason,
@@ -243,148 +372,79 @@ impl ProcEngine {
         }))
     }
 
-    /// Runs one worker to completion (or death) for `spec` under
-    /// `config`, with `conflicts` as the (possibly escalated) budget.
+    /// Runs one job on a fresh worker: spawn, hello, dispatch, watch,
+    /// reap. The child is reaped before this returns, so its blast
+    /// radius and its RSS reading stay this attempt's own. `Err` means
+    /// no worker could be spawned.
     fn run_attempt(
+        &self,
+        request: autocc_journal::json::Json,
+        cancel: &CancelToken,
+        rss_peak_kb: &mut u64,
+    ) -> std::io::Result<Watched> {
+        let limits = self.pool.limits;
+        let mut child = self.pool.spawn()?;
+        let (Some(mut stdin), Some(stdout)) = (child.stdin.take(), child.stdout.take()) else {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Ok(Watched::Lost(died("worker stdio was not captured")));
+        };
+        let mut reader = FrameReader::pipe(stdout);
+        let watched = match await_hello(&mut reader, limits.stall_limit()) {
+            Err(loss) => Watched::Lost(loss),
+            Ok(()) => {
+                // A write error means the worker is already dying; the
+                // watch observes the same death.
+                let _ = write_frame(&mut stdin, &job_json(LOCAL_JOB, None, request));
+                let stop = || cancel.is_cancelled();
+                watch_job(&mut reader, LOCAL_JOB, &limits, rss_peak_kb, stop, || {})
+            }
+        };
+        if let Watched::Answered(_) = watched {
+            // Ack, then close stdin: the worker exits after its job.
+            let _ = write_frame(&mut stdin, &ack_json(LOCAL_JOB));
+            drop(stdin);
+        } else {
+            let _ = child.kill();
+        }
+        let status = child
+            .wait()
+            .map(|s| s.to_string())
+            .unwrap_or_else(|e| format!("unwaitable: {e}"));
+        Ok(match watched {
+            Watched::Lost((FailureReason::WorkerDied, detail)) => {
+                Watched::Lost((FailureReason::WorkerDied, format!("{detail} ({status})")))
+            }
+            other => other,
+        })
+    }
+
+    /// [`CheckEngine::check`] on the pool; `Err` means not even the first
+    /// worker could be spawned, so nothing ran and no kill was counted.
+    pub(crate) fn try_check(
         &self,
         spec: &CheckSpec<'_>,
         config: &CheckConfig,
         cancel: &CancelToken,
-        conflicts: Option<u64>,
-        rss_peak_kb: &mut u64,
-    ) -> Attempt {
+    ) -> std::io::Result<EngineRun> {
         let limits = self.pool.limits;
-        let heartbeat_ms = limits.heartbeat_ms.max(1);
-        let wire_config = config
-            .clone()
-            .conflicts(conflicts)
-            .heartbeat_ms(heartbeat_ms);
-        let request = request_json(
-            self.wire_engine,
-            spec.module,
-            &spec.properties,
-            &spec.constraints,
-            &wire_config,
-        );
-
-        let mut child = match self.pool.spawn() {
-            Ok(child) => child,
-            Err(e) => return Attempt::Died(format!("failed to spawn worker: {e}")),
-        };
-        // Ship the request. A write error means the worker is already
-        // dying; the reader thread observes the same death, so ignore it.
-        if let Some(mut stdin) = child.stdin.take() {
-            let _ = write_frame(&mut stdin, &request);
-        }
-        let stdout = match child.stdout.take() {
-            Some(stdout) => stdout,
-            None => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Attempt::Died("worker stdout was not captured".to_string());
-            }
-        };
-
-        let (frames, from_worker) = mpsc::channel();
-        let reader = std::thread::spawn(move || {
-            let mut input = BufReader::new(stdout);
-            while let Ok(Some(frame)) = read_frame(&mut input) {
-                if frames.send(frame).is_err() {
-                    break;
-                }
-            }
-        });
-
-        let reap = |mut child: Child, reader: std::thread::JoinHandle<()>| {
-            let _ = child.kill();
-            let _ = child.wait();
-            let _ = reader.join();
-        };
-        let quantum = Duration::from_millis(heartbeat_ms.min(100));
-        let stall_limit = Duration::from_millis(heartbeat_ms.saturating_mul(limits.stall_factor));
-        let mut last_heartbeat = Instant::now();
-        loop {
-            match from_worker.recv_timeout(quantum) {
-                Ok(frame) => match parse_worker_frame(&frame) {
-                    Ok(WorkerFrame::Heartbeat { rss_kb }) => {
-                        last_heartbeat = Instant::now();
-                        // `None` = the worker's platform has no readable
-                        // `/proc`: liveness still counts, RSS enforcement
-                        // gracefully degrades to "not enforced".
-                        if let Some(rss_kb) = rss_kb {
-                            *rss_peak_kb = (*rss_peak_kb).max(rss_kb);
-                            if let Some(limit_mb) = limits.memory_limit_mb {
-                                if rss_kb > limit_mb.saturating_mul(1024) {
-                                    reap(child, reader);
-                                    return Attempt::OverMemory { rss_kb };
-                                }
-                            }
-                        }
-                    }
-                    Ok(WorkerFrame::Result(run)) => {
-                        let _ = child.wait();
-                        let _ = reader.join();
-                        return Attempt::Finished(run);
-                    }
-                    Err(e) => {
-                        reap(child, reader);
-                        return Attempt::Died(format!("malformed worker frame: {e}"));
-                    }
-                },
-                Err(RecvTimeoutError::Timeout) => {
-                    if cancel.is_cancelled() {
-                        reap(child, reader);
-                        return Attempt::Cancelled { proven_depth: 0 };
-                    }
-                    let silent = last_heartbeat.elapsed();
-                    if silent > stall_limit {
-                        reap(child, reader);
-                        return Attempt::Stalled {
-                            silent_ms: silent.as_millis() as u64,
-                        };
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Stream ended without a result frame: the worker is
-                    // dead. (Buffered frames drain before this arm fires,
-                    // so a completed result is never misread as a death.)
-                    let status = child
-                        .wait()
-                        .map(|s| s.to_string())
-                        .unwrap_or_else(|e| format!("unwaitable: {e}"));
-                    let _ = reader.join();
-                    return Attempt::Died(format!(
-                        "worker exited without a result frame ({status})"
-                    ));
-                }
-            }
-        }
-    }
-}
-
-impl CheckEngine for ProcEngine {
-    fn name(&self) -> &'static str {
-        self.engine_name
-    }
-
-    fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
         let key = content_key(
             spec.module,
             &spec.properties,
             &spec.constraints,
             config,
-            self.mode,
+            wire_mode(self.wire),
         );
         if self.pool.is_quarantined(key) {
-            return self.failure(
+            return Ok(self.failure(
                 FailureReason::Quarantined,
                 format!(
                     "check quarantined after killing {} worker(s); \
                      --retry-failed reopens it",
-                    self.pool.limits.quarantine_after
+                    limits.quarantine_after
                 ),
                 0,
-            );
+            ));
         }
 
         let telemetry = &config.telemetry;
@@ -394,10 +454,28 @@ impl CheckEngine for ProcEngine {
         let mut counters_total = autocc_telemetry::SolverCounters::default();
         let mut run = loop {
             let attempt = spawned;
-            let conflicts = policy.escalated_budget(config.conflict_budget, attempt);
+            let wire_config = config
+                .clone()
+                .conflicts(policy.escalated_budget(config.conflict_budget, attempt))
+                .heartbeat_ms(limits.heartbeat_ms.max(1));
+            let request = request_json(
+                self.wire,
+                spec.module,
+                &spec.properties,
+                &spec.constraints,
+                &wire_config,
+            );
+            let watched = match self.run_attempt(request, cancel, &mut rss_peak_kb) {
+                Ok(watched) => watched,
+                Err(e) if spawned == 0 => return Err(e),
+                Err(e) => {
+                    let detail = format!("failed to spawn worker: {e}");
+                    break self.failure(FailureReason::WorkerDied, detail, spawned);
+                }
+            };
             spawned += 1;
-            let kill = match self.run_attempt(spec, config, cancel, conflicts, &mut rss_peak_kb) {
-                Attempt::Finished(run) => {
+            let (reason, detail) = match watched {
+                Watched::Answered(run) => {
                     counters_total.add(&run.counters);
                     // A worker that *answered* FAILED(panic) is a healthy
                     // process reporting a contained engine fault; retry it
@@ -411,31 +489,19 @@ impl CheckEngine for ProcEngine {
                     }
                     break run;
                 }
-                Attempt::Cancelled { proven_depth } => {
+                Watched::Stopped => {
                     break EngineRun::from(EngineOutcome::Unknown {
-                        depth: proven_depth,
+                        depth: 0,
                         cause: UnknownCause::Cancelled,
                     });
                 }
-                Attempt::Died(detail) => (FailureReason::WorkerDied, detail),
-                Attempt::OverMemory { rss_kb } => (
-                    FailureReason::MemoryLimit,
-                    format!(
-                        "worker RSS {rss_kb} KiB exceeded the {} MiB limit",
-                        self.pool.limits.memory_limit_mb.unwrap_or(0)
-                    ),
-                ),
-                Attempt::Stalled { silent_ms } => (
-                    FailureReason::Hang,
-                    format!("worker heartbeat silent for {silent_ms} ms; killed"),
-                ),
+                Watched::Lost(loss) => loss,
             };
 
-            // The worker was killed (died / over memory / stalled):
-            // quarantine bookkeeping, then retry or give up.
-            let (reason, detail) = kill;
-            let kill_count = self.pool.record_kill(key);
-            if kill_count >= self.pool.limits.quarantine_after {
+            // The worker was lost: quarantine bookkeeping, then retry or
+            // give up.
+            let kill_count = self.pool.ledger.record(key);
+            if kill_count >= limits.quarantine_after {
                 break self.failure(
                     FailureReason::Quarantined,
                     format!(
@@ -464,27 +530,60 @@ impl CheckEngine for ProcEngine {
             f.attempts = f.attempts.max(spawned);
         }
         run.counters = counters_total;
-        run
+        Ok(run)
+    }
+}
+
+impl CheckEngine for ProcEngine {
+    fn name(&self) -> &'static str {
+        wire_name(self.wire)
+    }
+
+    fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
+        self.try_check(spec, config, cancel).unwrap_or_else(|e| {
+            self.failure(
+                FailureReason::WorkerDied,
+                format!("failed to spawn worker: {e}"),
+                1,
+            )
+        })
     }
 }
 
 /// Dispatches the hidden `worker` subcommand: every report binary (and
 /// the `autocc` CLI) calls this first thing in `main`, so any of them
-/// can serve as the worker executable for its own isolated campaign —
-/// or, with `worker --connect <addr>`, attach to a remote fleet
-/// supervisor over TCP. Never returns when invoked as a worker.
+/// can serve as the worker executable for its own isolated campaign
+/// (`worker`, on stdio) or attach to a remote fleet supervisor over TCP
+/// (`worker --connect <addr>`). Both run the one serve loop. Never
+/// returns when invoked as a worker: exits 0 once the supervisor hangs
+/// up, 70 when a stdio worker broke, 69 when the fleet was unreachable
+/// or the connection broke irrecoverably.
 ///
 /// Remote form:
 /// `worker --connect HOST:PORT [--backoff-ms N] [--backoff-max-ms N]
 ///  [--max-retries N]`
 pub fn maybe_run_worker() {
+    use autocc_journal::ipc::{run_remote_worker, serve};
     if std::env::args().nth(1).as_deref() != Some("worker") {
         return;
     }
     let rest: Vec<String> = std::env::args().skip(2).collect();
-    if rest.is_empty() {
-        autocc_journal::ipc::worker_main();
+    let (served, broken) = if rest.is_empty() {
+        let stdin = FrameReader::pipe(std::io::stdin());
+        (serve(stdin, std::io::stdout()), 70)
+    } else {
+        (run_remote_worker(&parse_connect_args(&rest)), 69)
+    };
+    match served {
+        Ok(_) => std::process::exit(0),
+        Err(e) => {
+            eprintln!("worker: {e}");
+            std::process::exit(broken);
+        }
     }
+}
+
+fn parse_connect_args(rest: &[String]) -> autocc_journal::ipc::RemoteWorkerOptions {
     let mut opts = autocc_journal::ipc::RemoteWorkerOptions::default();
     let die = |msg: &str| -> ! {
         eprintln!("worker: {msg}");
@@ -522,5 +621,27 @@ pub fn maybe_run_worker() {
     if opts.addr.is_empty() {
         die("remote mode needs --connect HOST:PORT");
     }
-    autocc_journal::ipc::remote_worker_main(&opts);
+    opts
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ledger_quarantines_at_the_threshold_and_only_after_a_kill() {
+        let key = ContentKey(7);
+        let ledger = KillLedger::new(2);
+        assert!(!ledger.is_quarantined(key));
+        assert_eq!(ledger.record(key), 1);
+        assert!(!ledger.is_quarantined(key));
+        assert_eq!(ledger.record(key), 2);
+        assert!(ledger.is_quarantined(key));
+        assert_eq!(ledger.quarantined_count(), 1);
+        // A zero threshold still needs one kill before it quarantines.
+        let eager = KillLedger::new(0);
+        assert!(!eager.is_quarantined(key));
+        eager.record(key);
+        assert!(eager.is_quarantined(key));
+    }
 }

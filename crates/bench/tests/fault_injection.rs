@@ -263,25 +263,28 @@ fn worker_pool(limits: WorkerLimits) -> WorkerPool {
 
 #[test]
 fn sigkilled_worker_degrades_to_a_contained_failure() {
-    let dut = config_device(false);
-    let ft = FtSpec::new(&dut).generate();
-    let config = options(12).retries(0);
-    let pool =
-        Arc::new(worker_pool(WorkerLimits::default()).with_env("AUTOCC_WORKER_FAULT", "sigkill"));
-    let report = ft.check_portfolio_with(&config, &ProcEngine::for_check(pool));
-    match report.outcome {
-        AutoCcOutcome::Failed { failures } => {
-            assert!(!failures.is_empty());
-            for f in &failures {
-                assert_eq!(f.reason, FailureReason::WorkerDied, "got: {f}");
-                assert!(
-                    f.detail.contains("without a result frame"),
-                    "death is diagnosed, not mislabelled: {}",
-                    f.detail
-                );
+    // A SIGKILLed worker, and one that cuts its result frame in half.
+    for fault in ["sigkill", "net_drop_result"] {
+        let dut = config_device(false);
+        let ft = FtSpec::new(&dut).generate();
+        let config = options(12).retries(0);
+        let pool =
+            Arc::new(worker_pool(WorkerLimits::default()).with_env("AUTOCC_WORKER_FAULT", fault));
+        let report = ft.check_portfolio_with(&config, &ProcEngine::for_check(pool));
+        match report.outcome {
+            AutoCcOutcome::Failed { failures } => {
+                assert!(!failures.is_empty());
+                for f in &failures {
+                    assert_eq!(f.reason, FailureReason::WorkerDied, "got: {f}");
+                    assert!(
+                        f.detail.contains("without a result frame"),
+                        "death is diagnosed, not mislabelled: {}",
+                        f.detail
+                    );
+                }
             }
+            other => panic!("expected a contained worker death ({fault}), got {other:?}"),
         }
-        other => panic!("expected a contained worker death, got {other:?}"),
     }
 }
 

@@ -237,8 +237,10 @@ fn half_open_socket_never_registers_and_jobs_fall_back() {
 /// the in-process run.
 #[test]
 fn late_result_after_lease_expiry_is_dropped_as_duplicate() {
+    // A 300 ms lease from the lease formula: a 300 ms time budget x
+    // lease factor 1 x one property.
     let config = FleetConfig {
-        lease_override: Some(Duration::from_millis(300)),
+        lease_factor: 1,
         fallback_grace: Duration::from_secs(30),
         ..FleetConfig::default()
     };
@@ -265,7 +267,7 @@ fn late_result_after_lease_expiry_is_dropped_as_duplicate() {
         constraints: Vec::new(),
         group: None,
     };
-    let check_config = options(8);
+    let check_config = options(8).timeout(Duration::from_millis(300));
     let expected = BmcEngine.check(&spec, &check_config, &CancelToken::new());
 
     let engine = FleetEngine::for_check(Arc::clone(&fleet), None);

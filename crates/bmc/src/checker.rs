@@ -22,29 +22,6 @@ use autocc_sat::{Lit, SolveResult, Solver};
 use autocc_telemetry::{SolverCounters, SpanKind, Telemetry};
 use std::time::{Duration, Instant};
 
-/// Legacy tuning knobs for a check run.
-#[deprecated(note = "use `CheckConfig`; convert with `CheckConfig::from(&options)`")]
-#[derive(Clone, Debug)]
-pub struct BmcOptions {
-    /// Maximum unrolling depth (number of cycles).
-    pub max_depth: usize,
-    /// Total conflict budget across the run (`None` = unlimited).
-    pub conflict_budget: Option<u64>,
-    /// Wall-clock budget for the run (`None` = unlimited).
-    pub time_budget: Option<Duration>,
-}
-
-#[allow(deprecated)]
-impl Default for BmcOptions {
-    fn default() -> BmcOptions {
-        BmcOptions {
-            max_depth: 64,
-            conflict_budget: None,
-            time_budget: Some(Duration::from_secs(300)),
-        }
-    }
-}
-
 /// A counterexample to a property.
 #[derive(Clone, Debug)]
 pub struct Cex {

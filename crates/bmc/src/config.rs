@@ -3,9 +3,7 @@
 //! [`CheckConfig`] is the one knob surface for the whole check pipeline:
 //! checker budgets (depth, conflicts, wall clock), engine switches
 //! (slicing), scheduler shape (worker count, retry policy), solver tuning
-//! (poll interval) and the telemetry handle. It replaces the former
-//! `BmcOptions` + `EngineOptions` + `CheckSettings` + ad-hoc retry plumbing
-//! with a single builder:
+//! (poll interval) and the telemetry handle, behind a single builder:
 //!
 //! ```
 //! use autocc_bmc::CheckConfig;
@@ -314,31 +312,6 @@ impl CheckConfig {
     }
 }
 
-#[allow(deprecated)]
-impl From<&crate::checker::BmcOptions> for CheckConfig {
-    fn from(options: &crate::checker::BmcOptions) -> CheckConfig {
-        CheckConfig {
-            max_depth: options.max_depth,
-            conflict_budget: options.conflict_budget,
-            time_budget: options.time_budget,
-            ..CheckConfig::default()
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<&crate::engine::EngineOptions> for CheckConfig {
-    fn from(options: &crate::engine::EngineOptions) -> CheckConfig {
-        CheckConfig {
-            max_depth: options.max_depth,
-            conflict_budget: options.conflict_budget,
-            time_budget: options.time_budget,
-            slice: options.slice,
-            ..CheckConfig::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,8 +388,8 @@ mod tests {
 
     #[test]
     fn default_matches_the_legacy_bmc_options() {
-        // Behaviour preservation: `CheckConfig::default()` must reproduce
-        // the semantics every caller of `BmcOptions::default()` relied on.
+        // Behaviour preservation: `CheckConfig::default()` keeps the
+        // checker's historical defaults (depth 64, 300 s, unsliced).
         let c = CheckConfig::default();
         assert_eq!(c.max_depth, 64);
         assert_eq!(c.conflict_budget, None);
@@ -425,26 +398,5 @@ mod tests {
         assert_eq!(c.jobs, 1);
         assert_eq!(c.poll_interval, 128);
         assert!(!c.telemetry.enabled());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shims_convert_in_one_hop() {
-        use crate::checker::BmcOptions;
-        use crate::engine::EngineOptions;
-        let bmc = BmcOptions {
-            max_depth: 9,
-            conflict_budget: Some(77),
-            time_budget: None,
-        };
-        let c = CheckConfig::from(&bmc);
-        assert_eq!(c.max_depth, 9);
-        assert_eq!(c.conflict_budget, Some(77));
-        assert_eq!(c.time_budget, None);
-
-        let eng = EngineOptions::from_bmc(&bmc).with_slice(true);
-        let c = CheckConfig::from(&eng);
-        assert!(c.slice);
-        assert_eq!(c.max_depth, 9);
     }
 }

@@ -1,7 +1,7 @@
 //! Pluggable check engines.
 //!
 //! A [`CheckEngine`] turns a [`CheckSpec`] (module + properties +
-//! constraints) into an [`EngineOutcome`] under [`EngineOptions`] budgets.
+//! constraints) into an [`EngineOutcome`] under [`CheckConfig`] budgets.
 //! Engines are `Send + Sync` and take a [`CancelToken`], so a portfolio
 //! scheduler can race several of them over the same spec and cancel the
 //! losers — the software analogue of JasperGold's engine portfolio that
@@ -30,7 +30,6 @@ use autocc_hdl::{Module, NodeId};
 use autocc_telemetry::SolverCounters;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Shared cancellation flag, cloned into every job of a race.
 ///
@@ -106,58 +105,6 @@ impl<'m> CheckSpec<'m> {
     /// Labels the spec with its property-group (cluster) name.
     pub fn group(mut self, label: impl Into<String>) -> Self {
         self.group = Some(label.into());
-        self
-    }
-}
-
-/// Legacy per-job budgets and switches for a check engine run.
-#[deprecated(note = "use `CheckConfig`; convert with `CheckConfig::from(&options)`")]
-#[derive(Clone, Debug)]
-pub struct EngineOptions {
-    /// Maximum unrolling depth (number of cycles).
-    pub max_depth: usize,
-    /// Conflict budget for the job (`None` = unlimited).
-    pub conflict_budget: Option<u64>,
-    /// Wall-clock budget for the job (`None` = unlimited). Time budgets
-    /// make outcomes machine-dependent; deterministic runs should prefer
-    /// conflict budgets.
-    pub time_budget: Option<Duration>,
-    /// Apply per-property cone-of-influence slicing before encoding.
-    pub slice: bool,
-}
-
-#[allow(deprecated)]
-impl Default for EngineOptions {
-    fn default() -> EngineOptions {
-        EngineOptions::from_bmc(&crate::checker::BmcOptions::default())
-    }
-}
-
-#[allow(deprecated)]
-impl EngineOptions {
-    /// Lifts legacy [`BmcOptions`](crate::checker::BmcOptions) into engine
-    /// options (slicing off).
-    pub fn from_bmc(options: &crate::checker::BmcOptions) -> EngineOptions {
-        EngineOptions {
-            max_depth: options.max_depth,
-            conflict_budget: options.conflict_budget,
-            time_budget: options.time_budget,
-            slice: false,
-        }
-    }
-
-    /// The checker-level options this job runs with.
-    pub fn to_bmc(&self) -> crate::checker::BmcOptions {
-        crate::checker::BmcOptions {
-            max_depth: self.max_depth,
-            conflict_budget: self.conflict_budget,
-            time_budget: self.time_budget,
-        }
-    }
-
-    /// Returns the options with slicing switched on or off.
-    pub fn with_slice(mut self, slice: bool) -> EngineOptions {
-        self.slice = slice;
         self
     }
 }

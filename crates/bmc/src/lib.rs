@@ -63,14 +63,10 @@ pub use cache::{
     ContentKey,
 };
 pub use certify::{cex_hash, CertificateStatus};
-#[allow(deprecated)]
-pub use checker::BmcOptions;
 pub use checker::{
     Bmc, BmcStats, Cex, CheckFailure, CheckOutcome, FailureReason, ProveOutcome, StopCause,
 };
 pub use config::{solver_counters, CheckConfig, Granularity, Isolation};
-#[allow(deprecated)]
-pub use engine::EngineOptions;
 pub use engine::{
     BmcEngine, CancelToken, CheckEngine, CheckSpec, EngineOutcome, EngineRun, Falsifier,
     JobFailure, KInductionEngine, UnknownCause,

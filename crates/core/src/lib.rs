@@ -81,5 +81,3 @@ pub use testbench::{
     property_class, AutoCcOutcome, CheckReport, ClusterPlan, CovertChannelCex, FpvTestbench,
     MonitorHandles, PortRole, PropertyClass, PropertyCluster, PropertyVerdict, StateDivergence,
 };
-#[allow(deprecated)]
-pub use testbench::{CheckSettings, RunReport};

@@ -7,13 +7,11 @@
 //! state that differed between universes when the spy process started.
 
 use autocc_aig::{cluster_cones, sequential_coi, AigLit, ConeCluster, SeqAig};
-#[allow(deprecated)]
-use autocc_bmc::BmcOptions;
 use autocc_bmc::{
     cex_hash, content_key_with_seq, Bmc, BmcEngine, CancelToken, CertificateStatus, CheckConfig,
     CheckEngine, CheckFailure, CheckMode, CheckOutcome, CheckSpec, ContentKey, EngineJob,
     EngineOutcome, EngineRun, FailureReason, Falsifier, JobFailure, KInductionEngine, Portfolio,
-    ProveOutcome, ReplayedTrace, RetryPolicy, StopCause, Trace, UnknownCause,
+    ProveOutcome, ReplayedTrace, StopCause, Trace, UnknownCause,
 };
 use autocc_hdl::{Bv, Instance, Module, NodeId, RegId, Waveform};
 use autocc_telemetry::{SolverCounters, SpanKind, Telemetry};
@@ -309,67 +307,6 @@ pub struct CheckReport {
     /// made with [`CheckConfig::certify`]; inconclusive or failed rows
     /// never carry one.
     pub certificate: CertificateStatus,
-}
-
-/// The former name of [`CheckReport`].
-#[deprecated(note = "use `CheckReport`")]
-pub type RunReport = CheckReport;
-
-/// Execution settings for the engine/portfolio checking path.
-#[deprecated(note = "use `CheckConfig`; convert with `CheckConfig::from(&settings)`")]
-#[allow(deprecated)]
-#[derive(Clone, Debug)]
-pub struct CheckSettings {
-    /// Solver budgets (depth, conflicts, wall-clock).
-    pub options: BmcOptions,
-    /// Worker threads for the portfolio scheduler (min 1).
-    pub jobs: usize,
-    /// Per-property cone-of-influence slicing.
-    pub slice: bool,
-    /// Retry policy for contained job panics.
-    pub retry: RetryPolicy,
-}
-
-#[allow(deprecated)]
-impl CheckSettings {
-    /// Serial, unsliced settings — the legacy behaviour.
-    pub fn serial(options: &BmcOptions) -> CheckSettings {
-        CheckSettings {
-            options: options.clone(),
-            jobs: 1,
-            slice: false,
-            retry: RetryPolicy::default(),
-        }
-    }
-
-    /// Sets the worker count (clamped to at least 1).
-    pub fn with_jobs(mut self, jobs: usize) -> CheckSettings {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Switches cone-of-influence slicing on or off.
-    pub fn with_slice(mut self, slice: bool) -> CheckSettings {
-        self.slice = slice;
-        self
-    }
-
-    /// Sets the number of retries for panicked jobs.
-    pub fn with_retries(mut self, retries: u32) -> CheckSettings {
-        self.retry = RetryPolicy::with_retries(retries);
-        self
-    }
-}
-
-#[allow(deprecated)]
-impl From<&CheckSettings> for CheckConfig {
-    fn from(settings: &CheckSettings) -> CheckConfig {
-        CheckConfig::from(&settings.options)
-            .jobs(settings.jobs)
-            .slice(settings.slice)
-            .retries(settings.retry.max_retries)
-            .retry_escalation(settings.retry.escalation)
-    }
 }
 
 /// Maps a checker stop cause onto the outcome taxonomy: conflict budgets

@@ -1,73 +1,67 @@
-//! Length-prefixed JSON IPC between a check supervisor and its worker
-//! subprocess, plus the worker-side serve loop.
+//! The worker protocol: length-prefixed JSON frames between a check
+//! supervisor and its workers, and the worker-side serve loop.
 //!
-//! The process-isolation layer runs one check attempt per worker
-//! subprocess: the parent serializes the (COI-relevant) miter, the
-//! property set, and the deterministic check budgets into a single
-//! request frame on the worker's stdin; the worker streams heartbeat
-//! frames (liveness + RSS) on stdout while it solves and finishes with
-//! exactly one result frame. Everything rides on the journal's
-//! hand-rolled [`Json`] (u64-exact, no floats), reusing the same
-//! outcome/trace/failure serde as the on-disk records so the wire format
-//! and the journal cannot drift apart.
+//! A worker is either a child process talking over its stdio (`worker`,
+//! spawned by `--isolate`) or a process connected over TCP (`worker
+//! --connect <addr>`, attached to a `--listen` fleet). Both speak one
+//! dialect through one serve loop ([`serve`]); pipe and socket differ
+//! only in how bytes move, and [`FrameReader`] hides that. Everything
+//! rides on the journal's hand-rolled [`Json`] (u64-exact, no floats),
+//! reusing the outcome/trace/failure serde of the on-disk records, so the
+//! wire format and the journal cannot drift apart.
 //!
 //! ## Framing
 //!
 //! Each frame is `LLLLLLLL` (eight lowercase ASCII hex digits, the
 //! payload byte length) followed by exactly that many bytes of compact
-//! JSON. No delimiters, no escaping concerns, resynchronization is never
-//! attempted: a malformed frame kills the stream, and the supervisor
-//! treats a dead stream as a dead worker.
+//! JSON. Resynchronization is never attempted: a malformed frame kills
+//! the stream, and the supervisor treats a dead stream as a dead worker.
+//! The declared length is checked against [`MAX_FRAME_BYTES`] before any
+//! payload buffer is allocated.
 //!
-//! ## Protocol
-//!
-//! ```text
-//! parent -> worker   {"kind":"request", engine, config, module, properties, constraints}
-//! worker -> parent   {"kind":"heartbeat","rss_kb":N}     (every heartbeat_ms)
-//! worker -> parent   {"kind":"result", outcome, counters} (exactly once, last)
-//! ```
-//!
-//! The worker never reads again after the request and the parent never
-//! writes again, so neither side can deadlock on a full pipe. Budgets
-//! (conflicts, wall clock, depth) are enforced *inside* the worker's
-//! solver exactly as in-process; the parent additionally enforces the
-//! RSS budget and heartbeat liveness from the outside, where a wedged or
-//! dying worker cannot evade them.
-//!
-//! ## Remote transport
-//!
-//! The same frames ride TCP for the remote worker fleet (`autocc worker
-//! --connect <addr>`). A remote connection is long-lived and multi-job,
-//! so the wire grows four frames on top of the single-shot protocol:
+//! ## Dialect
 //!
 //! ```text
-//! worker -> fleet   {"kind":"hello","proto":1,"worker":NAME}
-//! fleet  -> worker  {"kind":"job","job":N,"lease_ms":M, ...request fields}
-//! worker -> fleet   {"kind":"heartbeat","rss_kb":K,"job":N}
-//! worker -> fleet   {"kind":"result","job":N, ...result fields}
-//! fleet  -> worker  {"kind":"ack","job":N}
+//! worker     -> supervisor  {"kind":"hello","proto":1,"worker":NAME}
+//! supervisor -> worker      {"kind":"job","job":N,"lease_ms":M|null,
+//!                            engine, config, module, properties, constraints}
+//! worker     -> supervisor  {"kind":"heartbeat","rss_kb":K|null,"job":N}
+//! worker     -> supervisor  {"kind":"result", outcome, counters, cert,"job":N}
+//! supervisor -> worker      {"kind":"ack","job":N}
 //! ```
 //!
-//! Every result and heartbeat is tagged with the job id it answers, so
-//! the fleet supervisor can enforce at-most-once accounting: a job whose
-//! lease expired is re-dispatched, and a late result from the original
-//! worker is recognized (same id, stale assignment) and dropped instead
-//! of double-reporting. TCP reads go through [`NetFrameReader`], which
-//! enforces the frame-length ceiling *before* allocating and bounds
-//! every read with a deadline so a stalled or half-open socket can never
-//! wedge a supervisor thread.
+//! A worker says hello once, then answers jobs one at a time: heartbeats
+//! every `heartbeat_ms` while it solves, then exactly one result, and no
+//! new job before the ack. The supervisor closing the stream tells the
+//! worker to exit. Every heartbeat and result names the job it answers,
+//! so a fleet can recognize and drop a late result for a job it has
+//! already given to another worker. An `--isolate` child serves exactly
+//! one job; a fleet connection serves many. Budgets (conflicts, wall
+//! clock, depth) are enforced inside the worker's solver exactly as
+//! in-process; the supervisor enforces the RSS ceiling and heartbeat
+//! liveness from the outside, where a wedged or dying worker cannot
+//! evade them.
+//!
+//! ## Transports
+//!
+//! [`FrameReader`] bounds every read by a deadline, so a stalled pipe or
+//! a half-open socket surfaces as [`Polled::Timeout`] ticks that the
+//! caller counts against a heartbeat or lease budget, never as a hung
+//! thread. A socket is read under `set_read_timeout`. A pipe is read by
+//! a pump thread that ends when the pipe closes; a supervisor closes it
+//! by killing and reaping the worker it gave up on.
 //!
 //! ## Fault injection
 //!
-//! The worker honours the `AUTOCC_WORKER_FAULT` environment variable so
-//! the fault-injection suite can stage worker deaths deterministically:
-//! `abort` (die before solving), `abort_if:<path>` (die once, removing
-//! the flag file first), `sigkill` (SIGKILL self), `stall` (stop
-//! heartbeating and hang), `rss:<kb>` (report an inflated RSS). Remote
-//! workers add the network shapes: `net_drop_result` (write half a
-//! result frame, then sever the connection), `net_dup_result` (send the
-//! result frame twice), `net_slow:<ms>` (keep heartbeating but delay the
-//! result — the lease-expiry shape). Real campaigns never set it.
+//! The serve loop honours the `AUTOCC_WORKER_FAULT` environment variable
+//! on both transports, so the fault-injection suites can stage worker
+//! deaths deterministically: `abort` (die on the first job),
+//! `abort_if:<path>` (die once, removing the flag file first), `sigkill`
+//! (SIGKILL self), `stall` (stop heartbeating and hang), `rss:<kb>`
+//! (report an inflated RSS), `net_drop_result` (write half a result
+//! frame, then close the stream), `net_dup_result` (send the result frame
+//! twice) and `net_slow:<ms>` (keep heartbeating but delay the result —
+//! the lease-expiry shape). Real campaigns never set it.
 
 use crate::json::Json;
 use crate::record::{
@@ -84,7 +78,7 @@ use autocc_hdl::{
 };
 use std::io::{BufRead, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -95,9 +89,9 @@ use std::time::{Duration, Instant};
 /// allocation.
 pub const MAX_FRAME_BYTES: u64 = 64 << 20;
 
-/// Remote wire-protocol version carried in the hello frame. A fleet
-/// supervisor refuses workers speaking a different version rather than
-/// guessing at frame semantics.
+/// Wire-protocol version carried in the hello frame. A supervisor
+/// refuses workers speaking a different version rather than guessing at
+/// frame semantics.
 pub const WIRE_PROTO: u64 = 1;
 
 // ---------------------------------------------------------------------
@@ -112,8 +106,24 @@ pub fn write_frame(out: &mut dyn Write, payload: &Json) -> std::io::Result<()> {
     out.flush()
 }
 
-/// Reads one frame. `Ok(None)` is a clean end of stream (EOF exactly at
-/// a frame boundary); a truncated or malformed frame is an error.
+/// Validates an 8-byte length prefix and returns the payload length.
+fn frame_len(prefix: &[u8]) -> std::io::Result<usize> {
+    let text = std::str::from_utf8(prefix).map_err(|_| bad_data("non-ASCII length prefix"))?;
+    let len = u64::from_str_radix(text, 16).map_err(|_| bad_data("non-hex length prefix"))?;
+    if len > MAX_FRAME_BYTES {
+        return Err(bad_data("frame length exceeds the 64 MiB ceiling"));
+    }
+    Ok(len as usize)
+}
+
+fn parse_payload(bytes: &[u8]) -> std::io::Result<Json> {
+    let text = std::str::from_utf8(bytes).map_err(|_| bad_data("frame payload is not UTF-8"))?;
+    Json::parse(text).map_err(|e| bad_data(&e))
+}
+
+/// Reads one frame from a blocking stream. `Ok(None)` is a clean end of
+/// stream (EOF exactly at a frame boundary); a truncated or malformed
+/// frame is an error.
 pub fn read_frame(input: &mut dyn BufRead) -> std::io::Result<Option<Json>> {
     let mut prefix = [0u8; 8];
     let mut filled = 0;
@@ -127,15 +137,9 @@ pub fn read_frame(input: &mut dyn BufRead) -> std::io::Result<Option<Json>> {
         }
         filled += n;
     }
-    let text = std::str::from_utf8(&prefix).map_err(|_| bad_data("non-ASCII length prefix"))?;
-    let len = u64::from_str_radix(text, 16).map_err(|_| bad_data("non-hex length prefix"))?;
-    if len > MAX_FRAME_BYTES {
-        return Err(bad_data("frame length exceeds the 64 MiB ceiling"));
-    }
-    let mut body = vec![0u8; len as usize];
+    let mut body = vec![0u8; frame_len(&prefix)?];
     input.read_exact(&mut body)?;
-    let text = String::from_utf8(body).map_err(|_| bad_data("frame payload is not UTF-8"))?;
-    Json::parse(&text).map(Some).map_err(|e| bad_data(&e))
+    parse_payload(&body).map(Some)
 }
 
 fn bad_data(msg: &str) -> std::io::Error {
@@ -143,45 +147,80 @@ fn bad_data(msg: &str) -> std::io::Error {
 }
 
 // ---------------------------------------------------------------------
-// Deadline-bounded TCP framing
+// Deadline-bounded frame reader
 // ---------------------------------------------------------------------
 
-/// Outcome of one bounded read poll on a TCP frame stream.
-pub enum NetRead {
+/// Outcome of one bounded read poll on a frame stream.
+pub enum Polled {
     /// A complete frame arrived.
     Frame(Json),
     /// The deadline elapsed with no complete frame; partial bytes (if
     /// any) stay buffered for the next poll, so polling is lossless.
     Timeout,
-    /// The peer closed the connection cleanly, exactly at a frame
-    /// boundary. A close mid-frame is an error instead.
+    /// The peer closed the stream cleanly, exactly at a frame boundary.
+    /// A close mid-frame is an error instead.
     Eof,
 }
 
-/// Incremental frame reader over a [`TcpStream`] whose every read is
-/// bounded by a caller-supplied deadline.
+/// Where a [`FrameReader`] gets its bytes.
+enum Source {
+    /// A socket, read under `set_read_timeout`.
+    Socket(TcpStream),
+    /// A pipe, drained by a pump thread; an empty chunk is end of stream.
+    Pipe(mpsc::Receiver<std::io::Result<Vec<u8>>>),
+}
+
+/// Incremental frame reader whose every read is bounded by a
+/// caller-supplied deadline, over a socket or a pipe.
 ///
-/// Two hardening guarantees, both load-bearing for the fleet supervisor:
+/// Two hardening guarantees, both load-bearing for the supervisors:
 ///
 /// * the declared frame length is validated against [`MAX_FRAME_BYTES`]
 ///   as soon as the 8-byte prefix is in, **before** any payload buffer
-///   is allocated — a corrupt prefix costs a closed connection, not an
+///   is allocated — a corrupt prefix costs a closed stream, not an
 ///   out-of-memory; and
-/// * [`NetFrameReader::poll_frame`] never blocks past its `wait`
-///   argument — a stalled, wedged, or half-open socket surfaces as
-///   [`NetRead::Timeout`] ticks the caller can count against a lease or
+/// * [`FrameReader::poll_frame`] never blocks past its `wait` argument —
+///   a stalled, wedged, or half-open peer surfaces as
+///   [`Polled::Timeout`] ticks the caller can count against a lease or
 ///   heartbeat budget, never as a hung supervisor thread.
-pub struct NetFrameReader {
-    stream: TcpStream,
+pub struct FrameReader {
+    source: Source,
     pending: Vec<u8>,
 }
 
-impl NetFrameReader {
-    /// Wraps a connected stream. The reader owns its (cloned) handle;
-    /// writes go through a separate clone.
-    pub fn new(stream: TcpStream) -> NetFrameReader {
-        NetFrameReader {
-            stream,
+impl FrameReader {
+    /// Reads frames from a connected socket. Writes go through a separate
+    /// clone of the stream.
+    pub fn socket(stream: TcpStream) -> FrameReader {
+        FrameReader {
+            source: Source::Socket(stream),
+            pending: Vec::new(),
+        }
+    }
+
+    /// Reads frames from a blocking byte stream such as a child's stdout
+    /// or the worker's own stdin. A pump thread forwards what it reads
+    /// and ends at end of stream, on a read error, or once the reader is
+    /// dropped and the next chunk has nowhere to go. It is detached, not
+    /// joined: it may sit in `read` on a pipe only the peer can close,
+    /// and a worker must be able to exit while its stdin is still open.
+    pub fn pipe(mut input: impl Read + Send + 'static) -> FrameReader {
+        let (chunks, source) = mpsc::sync_channel(4);
+        std::thread::spawn(move || {
+            let mut buf = vec![0u8; 64 << 10];
+            loop {
+                let chunk = match input.read(&mut buf) {
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    read => read.map(|n| buf[..n].to_vec()),
+                };
+                let last = !matches!(&chunk, Ok(bytes) if !bytes.is_empty());
+                if chunks.send(chunk).is_err() || last {
+                    return;
+                }
+            }
+        });
+        FrameReader {
+            source: Source::Pipe(source),
             pending: Vec::new(),
         }
     }
@@ -191,59 +230,83 @@ impl NetFrameReader {
         if self.pending.len() < 8 {
             return Ok(None);
         }
-        let text = std::str::from_utf8(&self.pending[..8])
-            .map_err(|_| bad_data("non-ASCII length prefix"))?;
-        let len = u64::from_str_radix(text, 16).map_err(|_| bad_data("non-hex length prefix"))?;
-        if len > MAX_FRAME_BYTES {
-            return Err(bad_data("frame length exceeds the 64 MiB ceiling"));
-        }
-        let total = 8 + len as usize;
+        let total = 8 + frame_len(&self.pending[..8])?;
         if self.pending.len() < total {
             return Ok(None);
         }
-        let text = std::str::from_utf8(&self.pending[8..total])
-            .map_err(|_| bad_data("frame payload is not UTF-8"))?;
-        let json = Json::parse(text).map_err(|e| bad_data(&e))?;
+        let json = parse_payload(&self.pending[8..total])?;
         self.pending.drain(..total);
         Ok(Some(json))
     }
 
+    /// Appends what arrives within `wait` to the buffer: `Some(0)` at end
+    /// of stream, `None` when the wait ran out.
+    fn fill(&mut self, wait: Duration) -> std::io::Result<Option<usize>> {
+        match &mut self.source {
+            Source::Socket(stream) => {
+                // set_read_timeout(0) would mean "block forever"; the
+                // max(1ms) costs at most one extra millisecond.
+                stream.set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
+                let mut buf = [0u8; 4096];
+                loop {
+                    match stream.read(&mut buf) {
+                        Ok(n) => {
+                            self.pending.extend_from_slice(&buf[..n]);
+                            return Ok(Some(n));
+                        }
+                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                        Err(e)
+                            if e.kind() == std::io::ErrorKind::WouldBlock
+                                || e.kind() == std::io::ErrorKind::TimedOut =>
+                        {
+                            return Ok(None);
+                        }
+                        Err(e) => return Err(e),
+                    }
+                }
+            }
+            Source::Pipe(chunks) => match chunks.recv_timeout(wait) {
+                Ok(chunk) => {
+                    let chunk = chunk?;
+                    self.pending.extend_from_slice(&chunk);
+                    Ok(Some(chunk.len()))
+                }
+                Err(RecvTimeoutError::Timeout) => Ok(None),
+                Err(RecvTimeoutError::Disconnected) => Ok(Some(0)),
+            },
+        }
+    }
+
     /// Waits up to `wait` for one complete frame. Partial frames carry
     /// over between polls; a peer close mid-frame is an error.
-    pub fn poll_frame(&mut self, wait: Duration) -> std::io::Result<NetRead> {
+    pub fn poll_frame(&mut self, wait: Duration) -> std::io::Result<Polled> {
         let deadline = Instant::now() + wait;
         loop {
             if let Some(frame) = self.try_extract()? {
-                return Ok(NetRead::Frame(frame));
+                return Ok(Polled::Frame(frame));
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(NetRead::Timeout);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(Polled::Timeout);
             }
-            // set_read_timeout(0) would mean "block forever"; the max(1ms)
-            // costs at most one extra millisecond on the final poll.
-            self.stream
-                .set_read_timeout(Some((deadline - now).max(Duration::from_millis(1))))?;
-            let mut buf = [0u8; 4096];
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    if self.pending.is_empty() {
-                        return Ok(NetRead::Eof);
-                    }
-                    return Err(bad_data("connection closed mid-frame"));
-                }
-                Ok(n) => self.pending.extend_from_slice(&buf[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(NetRead::Timeout);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+            match self.fill(left)? {
+                None => return Ok(Polled::Timeout),
+                Some(0) if self.pending.is_empty() => return Ok(Polled::Eof),
+                Some(0) => return Err(bad_data("stream closed mid-frame")),
+                Some(_) => {}
             }
         }
     }
+}
+
+/// Prepares a fleet connection for the dialect: no Nagle delay, a
+/// bounded write timeout, and a reader over one handle with the other
+/// kept for writes.
+pub fn split_connection(stream: TcpStream) -> std::io::Result<(FrameReader, TcpStream)> {
+    let _ = stream.set_nodelay(true);
+    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
+    let writer = stream.try_clone()?;
+    Ok((FrameReader::socket(stream), writer))
 }
 
 // ---------------------------------------------------------------------
@@ -768,6 +831,11 @@ pub fn parse_request(v: &Json) -> Result<WireRequest, String> {
     if str_field(v, "kind")? != "request" {
         return Err("not a request frame".to_string());
     }
+    request_fields(v)
+}
+
+/// Reads the request fields of a `request` or `job` frame.
+fn request_fields(v: &Json) -> Result<WireRequest, String> {
     let c = field(v, "config")?;
     let opt_num = |key: &str| -> Result<Option<u64>, String> {
         match field(c, key)? {
@@ -892,36 +960,73 @@ fn parse_engine_outcome(v: &Json) -> Result<EngineOutcome, String> {
     })
 }
 
-/// One frame from worker to supervisor.
-pub enum WorkerFrame {
-    /// Liveness: the worker is solving and (where measurable) currently
-    /// holds `rss_kb` KiB.
-    Heartbeat {
-        /// Resident set size in KiB; `None` where the platform offers no
-        /// `/proc`-style RSS reading. A supervisor receiving `None` keeps
-        /// the liveness signal but skips RSS enforcement — an
-        /// unmeasurable worker is degraded, not dead.
-        rss_kb: Option<u64>,
-    },
-    /// The final answer; the worker exits after sending it.
-    Result(EngineRun),
+// ---------------------------------------------------------------------
+// The dialect: hello / job / heartbeat / result / ack
+// ---------------------------------------------------------------------
+
+fn kind(k: &str) -> (String, Json) {
+    ("kind".to_string(), Json::Str(k.to_string()))
 }
 
-/// Serializes a heartbeat frame. `rss_kb: None` (RSS unmeasurable on
-/// this platform) crosses the wire as `null`.
-pub fn heartbeat_json(rss_kb: Option<u64>) -> Json {
+fn job_field(job: u64) -> (String, Json) {
+    ("job".to_string(), Json::Num(job))
+}
+
+/// Serializes the frame a worker opens every connection with.
+fn hello_json(worker: &str) -> Json {
     Json::Obj(vec![
-        ("kind".to_string(), Json::Str("heartbeat".to_string())),
-        ("rss_kb".to_string(), rss_kb.map_or(Json::Null, Json::Num)),
+        kind("hello"),
+        ("proto".to_string(), Json::Num(WIRE_PROTO)),
+        ("worker".to_string(), Json::Str(worker.to_string())),
     ])
 }
 
-/// Serializes a result frame. Only the certificate *status and hash*
-/// cross the process boundary — the proof transcript itself stays inside
-/// the worker, where it was already checked.
-pub fn result_json(run: &EngineRun) -> Json {
+/// Wraps a [`request_json`] payload as a dispatched job: the request
+/// fields plus a job id and the lease (milliseconds) the supervisor
+/// grants, `None` for a worker that owns its job outright.
+pub fn job_json(job: u64, lease_ms: Option<u64>, request: Json) -> Json {
+    let mut fields = vec![
+        kind("job"),
+        job_field(job),
+        (
+            "lease_ms".to_string(),
+            lease_ms.map_or(Json::Null, Json::Num),
+        ),
+    ];
+    if let Json::Obj(request_fields) = request {
+        fields.extend(request_fields.into_iter().filter(|(k, _)| k != "kind"));
+    }
+    Json::Obj(fields)
+}
+
+/// Parses a job frame into its id, lease, and embedded request.
+fn parse_job(v: &Json) -> Result<(u64, Option<u64>, WireRequest), String> {
+    if str_field(v, "kind")? != "job" {
+        return Err("not a job frame".to_string());
+    }
+    let lease_ms = match field(v, "lease_ms")? {
+        Json::Null => None,
+        n => Some(n.as_u64().ok_or("lease_ms is neither null nor a number")?),
+    };
+    Ok((u64_field(v, "job")?, lease_ms, request_fields(v)?))
+}
+
+/// Serializes a heartbeat for `job`. `rss_kb: None` (RSS unmeasurable
+/// on this platform) crosses the wire as `null`.
+fn heartbeat_json(job: u64, rss_kb: Option<u64>) -> Json {
     Json::Obj(vec![
-        ("kind".to_string(), Json::Str("result".to_string())),
+        kind("heartbeat"),
+        ("rss_kb".to_string(), rss_kb.map_or(Json::Null, Json::Num)),
+        job_field(job),
+    ])
+}
+
+/// Serializes the result of `job`. Only the certificate *status and
+/// hash* cross the process boundary — the proof transcript itself stays
+/// inside the worker, where it was already checked.
+fn result_json(job: u64, run: &EngineRun) -> Json {
+    Json::Obj(vec![
+        kind("result"),
         ("outcome".to_string(), outcome_json(&run.outcome)),
         ("counters".to_string(), counters_json(&run.counters)),
         (
@@ -931,7 +1036,83 @@ pub fn result_json(run: &EngineRun) -> Json {
                 CertificateStatus::Certified { hash } => hex16(hash),
             },
         ),
+        job_field(job),
     ])
+}
+
+/// Serializes the supervisor's acknowledgement of a result frame.
+pub fn ack_json(job: u64) -> Json {
+    Json::Obj(vec![kind("ack"), job_field(job)])
+}
+
+/// Parses an ack frame, returning the acknowledged job id.
+fn parse_ack(v: &Json) -> Result<u64, String> {
+    if str_field(v, "kind")? != "ack" {
+        return Err("not an ack frame".to_string());
+    }
+    u64_field(v, "job")
+}
+
+/// One frame a supervisor can receive from a worker.
+pub enum WorkerMessage {
+    /// Registration: the first frame on every connection.
+    Hello {
+        /// The worker's self-reported name.
+        worker: String,
+    },
+    /// Liveness for the named job.
+    Heartbeat {
+        /// The job this heartbeat answers.
+        job: u64,
+        /// Resident set size in KiB; `None` where the platform offers no
+        /// `/proc`-style RSS reading. A supervisor receiving `None` keeps
+        /// the liveness signal but skips RSS enforcement — an
+        /// unmeasurable worker is degraded, not dead.
+        rss_kb: Option<u64>,
+    },
+    /// The final answer for the named job.
+    Result {
+        /// The job this result answers.
+        job: u64,
+        /// The engine's verdict.
+        run: EngineRun,
+    },
+}
+
+/// Parses a worker-to-supervisor frame. Job tags are mandatory: an
+/// untagged heartbeat or result is a protocol violation, because
+/// at-most-once accounting needs to know which job a frame answers. A
+/// hello in another protocol version is refused outright.
+pub fn parse_worker_message(v: &Json) -> Result<WorkerMessage, String> {
+    match str_field(v, "kind")?.as_str() {
+        "hello" => {
+            let proto = u64_field(v, "proto")?;
+            if proto != WIRE_PROTO {
+                return Err(format!(
+                    "worker speaks wire protocol {proto}, supervisor speaks {WIRE_PROTO}"
+                ));
+            }
+            Ok(WorkerMessage::Hello {
+                worker: str_field(v, "worker")?,
+            })
+        }
+        "heartbeat" => Ok(WorkerMessage::Heartbeat {
+            job: u64_field(v, "job")?,
+            rss_kb: match field(v, "rss_kb")? {
+                Json::Null => None,
+                n => Some(n.as_u64().ok_or("rss_kb is neither null nor a number")?),
+            },
+        }),
+        "result" => Ok(WorkerMessage::Result {
+            job: u64_field(v, "job")?,
+            run: EngineRun {
+                outcome: parse_engine_outcome(field(v, "outcome")?)?,
+                counters: parse_counters(field(v, "counters")?)?,
+                certificate: parse_certificate(field(v, "cert")?)?,
+            },
+        }),
+        other => Err(format!("unknown worker frame kind `{other}`")),
+    }
 }
 
 fn parse_certificate(v: &Json) -> Result<CertificateStatus, String> {
@@ -945,185 +1126,6 @@ fn parse_certificate(v: &Json) -> Result<CertificateStatus, String> {
     }
 }
 
-fn parse_rss(v: &Json) -> Result<Option<u64>, String> {
-    match field(v, "rss_kb")? {
-        Json::Null => Ok(None),
-        n => n
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| "rss_kb is neither null nor a number".to_string()),
-    }
-}
-
-/// Parses a worker-to-supervisor frame.
-pub fn parse_worker_frame(v: &Json) -> Result<WorkerFrame, String> {
-    match str_field(v, "kind")?.as_str() {
-        "heartbeat" => Ok(WorkerFrame::Heartbeat {
-            rss_kb: parse_rss(v)?,
-        }),
-        "result" => Ok(WorkerFrame::Result(parse_result_body(v)?)),
-        other => Err(format!("unknown worker frame kind `{other}`")),
-    }
-}
-
-fn parse_result_body(v: &Json) -> Result<EngineRun, String> {
-    Ok(EngineRun {
-        outcome: parse_engine_outcome(field(v, "outcome")?)?,
-        counters: parse_counters(field(v, "counters")?)?,
-        certificate: parse_certificate(field(v, "cert")?)?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Remote fleet frames (hello / job / ack / job-tagged worker frames)
-// ---------------------------------------------------------------------
-
-/// Serializes the registration frame a remote worker sends on connect.
-pub fn hello_json(worker: &str) -> Json {
-    Json::Obj(vec![
-        ("kind".to_string(), Json::Str("hello".to_string())),
-        ("proto".to_string(), Json::Num(WIRE_PROTO)),
-        ("worker".to_string(), Json::Str(worker.to_string())),
-    ])
-}
-
-/// Parses a hello frame, returning the worker's self-reported name.
-/// Rejects protocol-version mismatches outright.
-pub fn parse_hello(v: &Json) -> Result<String, String> {
-    if str_field(v, "kind")? != "hello" {
-        return Err("not a hello frame".to_string());
-    }
-    let proto = u64_field(v, "proto")?;
-    if proto != WIRE_PROTO {
-        return Err(format!(
-            "worker speaks wire protocol {proto}, supervisor speaks {WIRE_PROTO}"
-        ));
-    }
-    str_field(v, "worker")
-}
-
-/// Wraps a request payload as a dispatched job: the request fields plus
-/// a job id and the lease deadline (milliseconds) the supervisor grants.
-pub fn job_json(job: u64, lease_ms: Option<u64>, request: &Json) -> Json {
-    let mut fields = vec![
-        ("kind".to_string(), Json::Str("job".to_string())),
-        ("job".to_string(), Json::Num(job)),
-        (
-            "lease_ms".to_string(),
-            lease_ms.map_or(Json::Null, Json::Num),
-        ),
-    ];
-    if let Json::Obj(request_fields) = request {
-        fields.extend(request_fields.iter().filter(|(k, _)| k != "kind").cloned());
-    }
-    Json::Obj(fields)
-}
-
-/// Parses a job frame into its id, lease, and embedded request.
-pub fn parse_job(v: &Json) -> Result<(u64, Option<u64>, WireRequest), String> {
-    if str_field(v, "kind")? != "job" {
-        return Err("not a job frame".to_string());
-    }
-    let job = u64_field(v, "job")?;
-    let lease_ms = match field(v, "lease_ms")? {
-        Json::Null => None,
-        n => Some(n.as_u64().ok_or("lease_ms is neither null nor a number")?),
-    };
-    // Re-tag the remaining fields as a request and reuse its parser.
-    let Json::Obj(fields) = v else {
-        return Err("job frame is not an object".to_string());
-    };
-    let mut request_fields: Vec<(String, Json)> = fields
-        .iter()
-        .filter(|(k, _)| k != "kind" && k != "job" && k != "lease_ms")
-        .cloned()
-        .collect();
-    request_fields.insert(0, ("kind".to_string(), Json::Str("request".to_string())));
-    let request = parse_request(&Json::Obj(request_fields))?;
-    Ok((job, lease_ms, request))
-}
-
-/// Serializes the supervisor's acknowledgement of a result frame.
-pub fn ack_json(job: u64) -> Json {
-    Json::Obj(vec![
-        ("kind".to_string(), Json::Str("ack".to_string())),
-        ("job".to_string(), Json::Num(job)),
-    ])
-}
-
-/// Parses an ack frame, returning the acknowledged job id.
-pub fn parse_ack(v: &Json) -> Result<u64, String> {
-    if str_field(v, "kind")? != "ack" {
-        return Err("not an ack frame".to_string());
-    }
-    u64_field(v, "job")
-}
-
-/// Tags a frame object with the job id it belongs to.
-fn tag_job(frame: Json, job: u64) -> Json {
-    match frame {
-        Json::Obj(mut fields) => {
-            fields.push(("job".to_string(), Json::Num(job)));
-            Json::Obj(fields)
-        }
-        other => other,
-    }
-}
-
-/// A job-tagged heartbeat for the remote transport.
-pub fn heartbeat_json_tagged(job: u64, rss_kb: Option<u64>) -> Json {
-    tag_job(heartbeat_json(rss_kb), job)
-}
-
-/// A job-tagged result for the remote transport.
-pub fn result_json_tagged(job: u64, run: &EngineRun) -> Json {
-    tag_job(result_json(run), job)
-}
-
-/// One frame a fleet supervisor can receive from a remote worker.
-pub enum RemoteFrame {
-    /// Registration (first frame on a fresh connection).
-    Hello {
-        /// The worker's self-reported name.
-        worker: String,
-    },
-    /// Liveness for the named job.
-    Heartbeat {
-        /// The job this heartbeat answers.
-        job: u64,
-        /// RSS in KiB; `None` where unmeasurable (no enforcement).
-        rss_kb: Option<u64>,
-    },
-    /// The final answer for the named job.
-    Result {
-        /// The job this result answers.
-        job: u64,
-        /// The engine's verdict.
-        run: EngineRun,
-    },
-}
-
-/// Parses a worker-to-supervisor frame on the remote transport. Job tags
-/// are mandatory there — an untagged heartbeat or result is a protocol
-/// violation, because at-most-once accounting needs to know which
-/// assignment a frame answers.
-pub fn parse_remote_frame(v: &Json) -> Result<RemoteFrame, String> {
-    match str_field(v, "kind")?.as_str() {
-        "hello" => Ok(RemoteFrame::Hello {
-            worker: parse_hello(v)?,
-        }),
-        "heartbeat" => Ok(RemoteFrame::Heartbeat {
-            job: u64_field(v, "job")?,
-            rss_kb: parse_rss(v)?,
-        }),
-        "result" => Ok(RemoteFrame::Result {
-            job: u64_field(v, "job")?,
-            run: parse_result_body(v)?,
-        }),
-        other => Err(format!("unknown remote frame kind `{other}`")),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Worker runtime
 // ---------------------------------------------------------------------
@@ -1133,7 +1135,7 @@ pub fn parse_remote_frame(v: &Json) -> Result<RemoteFrame, String> {
 /// readable `/proc` — the worker then heartbeats without an RSS reading
 /// (liveness intact, memory enforcement gracefully skipped) instead of
 /// failing.
-pub fn current_rss_kb() -> Option<u64> {
+fn current_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status
         .lines()
@@ -1142,10 +1144,10 @@ pub fn current_rss_kb() -> Option<u64> {
         .and_then(|kb| kb.parse().ok())
 }
 
-/// Applies the staged `AUTOCC_WORKER_FAULT` death, if any. Returns the
-/// RSS override for `rss:<kb>`; diverges (never returns) for the
-/// death-shaped faults. Network-shaped faults (`net_*`) are handled by
-/// the remote serve loop, not here.
+/// Applies the staged `AUTOCC_WORKER_FAULT` death, if any, once a job
+/// has arrived. Returns the RSS override for `rss:<kb>`; diverges (never
+/// returns) for the death- and stall-shaped faults. The `net_*` faults
+/// shape the result frame and are handled by [`serve`].
 fn apply_fault(fault: Option<&str>) -> Option<u64> {
     match fault {
         Some("abort") => std::process::abort(),
@@ -1158,6 +1160,11 @@ fn apply_fault(fault: Option<&str>) -> Option<u64> {
                 std::thread::sleep(Duration::from_millis(50));
             }
         }
+        // A wedged worker: alive, silent, never answering. The
+        // supervisor's heartbeat-stall clock must reap it.
+        Some("stall") => loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        },
         Some(spec) if spec.starts_with("abort_if:") => {
             let path = &spec["abort_if:".len()..];
             if std::fs::remove_file(path).is_ok() {
@@ -1170,49 +1177,39 @@ fn apply_fault(fault: Option<&str>) -> Option<u64> {
     }
 }
 
-/// Runs one parsed request to completion while a sibling thread
-/// heartbeats on `output` every `heartbeat_ms`. Shared by the one-shot
-/// stdio worker and the multi-job remote worker: `job` tags the frames
-/// on the remote transport, `result_delay` is the `net_slow` fault's
-/// hook, and panics inside the engine come back as `FAILED (panic)`
-/// results exactly as the in-process scheduler would classify them.
+/// Writes one frame through the shared output.
+fn send<W: Write>(output: &Mutex<W>, frame: &Json) -> Result<(), String> {
+    let mut out = output.lock().map_err(|_| "output poisoned".to_string())?;
+    write_frame(&mut *out, frame).map_err(|e| format!("writing frame: {e}"))
+}
+
+/// Runs job `job` to completion while a sibling thread heartbeats on
+/// `output` every `heartbeat_ms`. `result_delay` is the `net_slow`
+/// fault's hook. Panics inside the engine come back as `FAILED (panic)`
+/// results, exactly as the in-process scheduler would classify them.
 fn solve_request<W: Write + Send + 'static>(
     req: &WireRequest,
     output: &Arc<Mutex<W>>,
-    job: Option<u64>,
+    job: u64,
     rss_override: Option<u64>,
     result_delay: Option<Duration>,
 ) -> Result<EngineRun, String> {
     let engine =
         wire_engine(&req.engine).ok_or_else(|| format!("unknown wire engine `{}`", req.engine))?;
-    let done = Arc::new(AtomicBool::new(false));
+    // Dropping `solved` wakes the heartbeat thread at once, so the
+    // result frame never waits out a heartbeat period.
+    let (solved, solving) = mpsc::channel::<()>();
     let heartbeat = {
         let output = Arc::clone(output);
-        let done = Arc::clone(&done);
         let period = Duration::from_millis(req.config.heartbeat_ms);
-        std::thread::spawn(move || {
-            while !done.load(Ordering::Acquire) {
-                let rss = rss_override.map_or_else(current_rss_kb, Some);
-                let frame = match job {
-                    Some(job) => heartbeat_json_tagged(job, rss),
-                    None => heartbeat_json(rss),
-                };
-                let sent = match output.lock() {
-                    Ok(mut out) => write_frame(&mut *out, &frame).is_ok(),
-                    Err(_) => false,
-                };
-                if !sent {
-                    break; // supervisor is gone; nobody left to reassure
-                }
-                // Sleep in short slices so the post-solve join returns
-                // promptly even under long heartbeat periods — the result
-                // frame must not wait out a full period.
-                let mut remaining = period;
-                while !done.load(Ordering::Acquire) && remaining > Duration::ZERO {
-                    let slice = remaining.min(Duration::from_millis(25));
-                    std::thread::sleep(slice);
-                    remaining = remaining.saturating_sub(slice);
-                }
+        std::thread::spawn(move || loop {
+            let frame = heartbeat_json(job, rss_override.or_else(current_rss_kb));
+            // A failed write means the supervisor is gone; nobody is
+            // left to reassure.
+            if send(&output, &frame).is_err()
+                || solving.recv_timeout(period) != Err(RecvTimeoutError::Timeout)
+            {
+                return;
             }
         })
     };
@@ -1248,63 +1245,79 @@ fn solve_request<W: Write + Send + 'static>(
     if let Some(delay) = result_delay {
         std::thread::sleep(delay);
     }
-    done.store(true, Ordering::Release);
+    drop(solved);
     let _ = heartbeat.join();
     Ok(run)
 }
 
-/// Serves exactly one check request: read the request frame from
-/// `input`, heartbeat on `output` every `heartbeat_ms` while solving,
-/// write the result frame, return. Panics inside the engine are
-/// contained and reported as a `FAILED (panic)` result frame, exactly as
-/// the in-process scheduler would classify them.
-pub fn serve_worker<W: Write + Send + 'static>(
-    input: &mut dyn BufRead,
-    output: W,
-) -> Result<(), String> {
-    let frame = read_frame(input)
-        .map_err(|e| format!("reading request: {e}"))?
-        .ok_or("empty request stream")?;
-    let req = parse_request(&frame)?;
+/// How long a worker waits for the ack of a result before treating the
+/// supervisor as gone.
+const ACK_DEADLINE: Duration = Duration::from_secs(30);
+
+/// The worker serve loop, on either transport: says hello, then answers
+/// jobs read from `reader` on `output` until the supervisor closes the
+/// stream (clean shutdown, `Ok` with the number of jobs answered) or
+/// something breaks (`Err`). Exit code 0 is right even for FAILED
+/// outcomes — those are *results*; an `Err` means the worker itself
+/// broke, which the supervisor classifies as a dead worker.
+pub fn serve<W: Write + Send + 'static>(mut reader: FrameReader, output: W) -> Result<u64, String> {
+    let output = Arc::new(Mutex::new(output));
+    send(&output, &hello_json(&format!("pid-{}", std::process::id())))?;
     let fault = std::env::var("AUTOCC_WORKER_FAULT").ok();
-    if fault.as_deref() == Some("stall") {
-        // A wedged worker: alive, silent, never answering. The
-        // supervisor's heartbeat-stall detection must reap it.
-        loop {
-            std::thread::sleep(Duration::from_secs(3600));
+    let mut served = 0u64;
+    loop {
+        let frame = match reader.poll_frame(Duration::from_secs(1)) {
+            Ok(Polled::Frame(frame)) => frame,
+            Ok(Polled::Timeout) => continue, // idle between jobs
+            Ok(Polled::Eof) => return Ok(served), // supervisor done with us
+            Err(e) => return Err(format!("reading job: {e}")),
+        };
+        let (job, _lease_ms, req) = parse_job(&frame)?;
+        let rss_override = apply_fault(fault.as_deref());
+        let result_delay = fault
+            .as_deref()
+            .and_then(|spec| spec.strip_prefix("net_slow:"))
+            .and_then(|ms| ms.parse().ok())
+            .map(Duration::from_millis);
+        let run = solve_request(&req, &output, job, rss_override, result_delay)?;
+        let result = result_json(job, &run);
+        match fault.as_deref() {
+            Some("net_drop_result") => {
+                // Mid-frame drop: declare the full length, ship half the
+                // payload, close. The supervisor must classify this as a
+                // dead worker.
+                let payload = result.to_string_compact();
+                if let Ok(mut out) = output.lock() {
+                    let _ = write!(out, "{:08x}", payload.len());
+                    let _ = out.write_all(&payload.as_bytes()[..payload.len() / 2]);
+                    let _ = out.flush();
+                }
+                return Err("injected mid-frame drop".to_string());
+            }
+            // Duplicate result: the supervisor must accept exactly one
+            // copy and count the other as a duplicate.
+            Some("net_dup_result") => {
+                send(&output, &result)?;
+                send(&output, &result)?;
+            }
+            _ => send(&output, &result)?,
+        }
+        served += 1;
+        // Take no other job before the ack: it confirms the supervisor
+        // accounted the result (or, via EOF, that it is done with us).
+        match reader.poll_frame(ACK_DEADLINE) {
+            Ok(Polled::Frame(frame)) => {
+                let acked = parse_ack(&frame)?;
+                if acked != job {
+                    return Err(format!("ack for job {acked}, expected {job}"));
+                }
+            }
+            Ok(Polled::Timeout) => return Err("ack deadline exceeded".to_string()),
+            Ok(Polled::Eof) => return Ok(served),
+            Err(e) => return Err(format!("reading ack: {e}")),
         }
     }
-    let output: Arc<Mutex<W>> = Arc::new(Mutex::new(output));
-    let rss_override = apply_fault(fault.as_deref());
-    let run = solve_request(&req, &output, None, rss_override, None)?;
-    let written = match output.lock() {
-        Ok(mut out) => {
-            write_frame(&mut *out, &result_json(&run)).map_err(|e| format!("writing result: {e}"))
-        }
-        Err(_) => Err("output poisoned".to_string()),
-    };
-    written
 }
-
-/// The `worker` subcommand entry point: serve one request on
-/// stdin/stdout, then exit. Exit code 0 even for FAILED outcomes — those
-/// are *results*; a nonzero exit means the worker itself broke (and the
-/// supervisor classifies that as a dead worker).
-pub fn worker_main() -> ! {
-    let stdin = std::io::stdin();
-    let mut input = stdin.lock();
-    match serve_worker(&mut input, std::io::stdout()) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("worker: {e}");
-            std::process::exit(70);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Remote worker runtime
-// ---------------------------------------------------------------------
 
 /// Configuration for a `worker --connect <addr>` process.
 #[derive(Debug, Clone)]
@@ -1331,110 +1344,10 @@ impl Default for RemoteWorkerOptions {
     }
 }
 
-/// How long a remote worker waits for the post-result `ack` before
-/// treating the supervisor as gone and reconnecting.
-const ACK_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Serves jobs on one established fleet connection until the supervisor
-/// closes it (clean shutdown) or something breaks. Returns the number of
-/// jobs answered on this connection.
-fn serve_remote_connection(stream: TcpStream) -> Result<u64, String> {
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_write_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| format!("set_write_timeout: {e}"))?;
-    let writer = stream
-        .try_clone()
-        .map_err(|e| format!("cloning stream: {e}"))?;
-    let output: Arc<Mutex<TcpStream>> = Arc::new(Mutex::new(writer));
-    let worker_id = format!("pid-{}", std::process::id());
-    {
-        let mut out = output.lock().map_err(|_| "output poisoned".to_string())?;
-        write_frame(&mut *out, &hello_json(&worker_id)).map_err(|e| format!("hello: {e}"))?;
-    }
-    let mut reader = NetFrameReader::new(stream);
-    let fault = std::env::var("AUTOCC_WORKER_FAULT").ok();
-    let mut served = 0u64;
-    loop {
-        let frame = match reader.poll_frame(Duration::from_secs(1)) {
-            Ok(NetRead::Frame(frame)) => frame,
-            Ok(NetRead::Timeout) => continue, // idle between jobs
-            Ok(NetRead::Eof) => return Ok(served), // supervisor done with us
-            Err(e) => return Err(format!("reading job: {e}")),
-        };
-        let (job, _lease_ms, req) = parse_job(&frame)?;
-        if fault.as_deref() == Some("stall") {
-            // Wedged after accepting the job: heartbeats stop, the
-            // supervisor's stall clock must reap the lease.
-            loop {
-                std::thread::sleep(Duration::from_secs(3600));
-            }
-        }
-        let rss_override = apply_fault(fault.as_deref());
-        let result_delay = fault
-            .as_deref()
-            .and_then(|spec| spec.strip_prefix("net_slow:"))
-            .and_then(|ms| ms.parse().ok())
-            .map(Duration::from_millis);
-        let run = solve_request(&req, &output, Some(job), rss_override, result_delay)?;
-        let result = result_json_tagged(job, &run);
-        match fault.as_deref() {
-            Some("net_drop_result") => {
-                // Mid-frame connection drop: declare the full length,
-                // ship half the payload, sever. The supervisor must
-                // classify this as a dead worker and requeue the job.
-                let payload = result.to_string_compact();
-                let bytes = payload.as_bytes();
-                let half = &bytes[..bytes.len() / 2];
-                if let Ok(mut out) = output.lock() {
-                    let _ = write!(out, "{:08x}", bytes.len());
-                    let _ = out.write_all(half);
-                    let _ = out.flush();
-                    let _ = out.shutdown(std::net::Shutdown::Both);
-                }
-                return Err("injected mid-frame drop".to_string());
-            }
-            Some("net_dup_result") => {
-                // Duplicate result: the at-most-once ledger must accept
-                // exactly one copy and count the other as a duplicate.
-                let mut out = output.lock().map_err(|_| "output poisoned".to_string())?;
-                write_frame(&mut *out, &result).map_err(|e| format!("writing result: {e}"))?;
-                write_frame(&mut *out, &result).map_err(|e| format!("writing result: {e}"))?;
-            }
-            _ => {
-                let mut out = output.lock().map_err(|_| "output poisoned".to_string())?;
-                write_frame(&mut *out, &result).map_err(|e| format!("writing result: {e}"))?;
-            }
-        }
-        served += 1;
-        // Wait for the ack before taking another job: it confirms the
-        // supervisor accounted the result (or tells us, via EOF, that it
-        // no longer wants this connection).
-        let ack_deadline = Instant::now() + ACK_DEADLINE;
-        loop {
-            match reader.poll_frame(Duration::from_secs(1)) {
-                Ok(NetRead::Frame(frame)) => {
-                    let acked = parse_ack(&frame)?;
-                    if acked != job {
-                        return Err(format!("ack for job {acked}, expected {job}"));
-                    }
-                    break;
-                }
-                Ok(NetRead::Timeout) => {
-                    if Instant::now() >= ack_deadline {
-                        return Err("ack deadline exceeded".to_string());
-                    }
-                }
-                Ok(NetRead::Eof) => return Ok(served),
-                Err(e) => return Err(format!("reading ack: {e}")),
-            }
-        }
-    }
-}
-
-/// The connect/serve/backoff loop of a remote worker. Returns total jobs
-/// served once the supervisor closes the connection cleanly, or an error
-/// once `max_connect_attempts` consecutive connection failures pile up.
+/// The connect/serve/backoff loop of a `worker --connect` process.
+/// Returns the jobs served once the supervisor closes the connection
+/// cleanly, or an error once `max_connect_attempts` consecutive
+/// connection failures pile up.
 pub fn run_remote_worker(opts: &RemoteWorkerOptions) -> Result<u64, String> {
     let mut backoff = Backoff::new(
         Duration::from_millis(opts.backoff_base_ms),
@@ -1442,22 +1355,26 @@ pub fn run_remote_worker(opts: &RemoteWorkerOptions) -> Result<u64, String> {
     );
     loop {
         match TcpStream::connect(&opts.addr) {
-            Ok(stream) => match serve_remote_connection(stream) {
-                Ok(served) => {
+            Ok(stream) => {
+                let served = split_connection(stream)
+                    .map_err(|e| format!("preparing connection: {e}"))
+                    .and_then(|(reader, writer)| serve(reader, writer));
+                match served {
                     // Clean close from the supervisor: fleet shutdown.
-                    return Ok(served);
-                }
-                Err(e) => {
-                    eprintln!("worker: connection to {} failed: {e}", opts.addr);
-                    if std::env::var("AUTOCC_WORKER_FAULT").is_ok() {
-                        // Injected faults are one-shot: a faulted worker
-                        // that reconnected would re-fault forever.
-                        return Err(e);
+                    Ok(served) => return Ok(served),
+                    Err(e) => {
+                        eprintln!("worker: connection to {} failed: {e}", opts.addr);
+                        if std::env::var("AUTOCC_WORKER_FAULT").is_ok() {
+                            // Injected faults are one-shot: a faulted
+                            // worker that reconnected would re-fault
+                            // forever.
+                            return Err(e);
+                        }
+                        backoff.reset(); // the connect itself worked
+                        std::thread::sleep(backoff.next_delay());
                     }
-                    backoff.reset(); // the connect itself worked
-                    std::thread::sleep(backoff.next_delay());
                 }
-            },
+            }
             Err(e) => {
                 if let Some(max) = opts.max_connect_attempts {
                     if u64::from(backoff.attempts()) + 1 >= max {
@@ -1466,19 +1383,6 @@ pub fn run_remote_worker(opts: &RemoteWorkerOptions) -> Result<u64, String> {
                 }
                 std::thread::sleep(backoff.next_delay());
             }
-        }
-    }
-}
-
-/// The `worker --connect <addr>` entry point. Exit code 0 when the
-/// supervisor hangs up cleanly; 69 (EX_UNAVAILABLE) when the fleet was
-/// never reachable or the connection broke irrecoverably.
-pub fn remote_worker_main(opts: &RemoteWorkerOptions) -> ! {
-    match run_remote_worker(opts) {
-        Ok(_) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("worker: {e}");
-            std::process::exit(69);
         }
     }
 }
@@ -1504,10 +1408,10 @@ mod tests {
 
     #[test]
     fn frames_round_trip_through_a_pipe_shaped_buffer() {
-        let payload = heartbeat_json(Some(4096));
+        let payload = heartbeat_json(3, Some(4096));
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();
-        write_frame(&mut buf, &heartbeat_json(Some(8192))).unwrap();
+        write_frame(&mut buf, &heartbeat_json(3, Some(8192))).unwrap();
         let mut cursor = std::io::BufReader::new(&buf[..]);
         let first = read_frame(&mut cursor).unwrap().unwrap();
         let second = read_frame(&mut cursor).unwrap().unwrap();
@@ -1519,7 +1423,7 @@ mod tests {
     #[test]
     fn truncated_frames_are_errors_not_eof() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &heartbeat_json(Some(1))).unwrap();
+        write_frame(&mut buf, &heartbeat_json(1, Some(1))).unwrap();
         for cut in 1..buf.len() {
             let mut cursor = std::io::BufReader::new(&buf[..cut]);
             assert!(
@@ -1563,6 +1467,13 @@ mod tests {
         assert!(parse_module(&Json::Obj(fields)).is_err());
     }
 
+    fn parse_result(frame: &Json) -> (u64, EngineRun) {
+        match parse_worker_message(frame).expect("parse result") {
+            WorkerMessage::Result { job, run } => (job, run),
+            _ => panic!("expected a result frame"),
+        }
+    }
+
     #[test]
     fn request_and_result_round_trip() {
         let m = leaky_module();
@@ -1586,28 +1497,39 @@ mod tests {
         assert!(req.config.certify, "certify knob crosses the wire");
         assert_eq!(req.properties, props);
 
+        // A job frame carries the same request under a job id and lease.
+        let (job, lease_ms, req) = parse_job(&job_json(5, Some(900), wire)).expect("parse job");
+        assert_eq!((job, lease_ms), (5, Some(900)));
+        assert_eq!(req.config.max_depth, 9);
+        assert_eq!(req.properties, props);
+
         let mut run = EngineRun::from(EngineOutcome::BoundReached { depth: 9 });
         run.certificate = CertificateStatus::Certified {
             hash: 0xdead_beef_0bad_f00d,
         };
-        match parse_worker_frame(&result_json(&run)).expect("parse result") {
-            WorkerFrame::Result(back) => {
-                match back.outcome {
-                    EngineOutcome::BoundReached { depth: 9 } => {}
-                    other => panic!("expected BoundReached, got {other:?}"),
-                }
-                assert_eq!(back.certificate, run.certificate);
-            }
-            WorkerFrame::Heartbeat { .. } => panic!("expected a result frame"),
+        let (job, back) = parse_result(&result_json(5, &run));
+        assert_eq!(job, 5);
+        match back.outcome {
+            EngineOutcome::BoundReached { depth: 9 } => {}
+            other => panic!("expected BoundReached, got {other:?}"),
         }
+        assert_eq!(back.certificate, run.certificate);
         // An uncertified run crosses as null and comes back uncertified.
         run.certificate = CertificateStatus::Uncertified;
-        match parse_worker_frame(&result_json(&run)).expect("parse result") {
-            WorkerFrame::Result(back) => {
-                assert_eq!(back.certificate, CertificateStatus::Uncertified)
-            }
-            WorkerFrame::Heartbeat { .. } => panic!("expected a result frame"),
-        }
+        let (_, back) = parse_result(&result_json(5, &run));
+        assert_eq!(back.certificate, CertificateStatus::Uncertified);
+    }
+
+    #[test]
+    fn untagged_and_foreign_worker_frames_are_refused() {
+        let untagged = Json::Obj(vec![kind("heartbeat"), ("rss_kb".to_string(), Json::Null)]);
+        assert!(parse_worker_message(&untagged).is_err());
+        let foreign = Json::Obj(vec![
+            kind("hello"),
+            ("proto".to_string(), Json::Num(WIRE_PROTO + 1)),
+            ("worker".to_string(), Json::Str("w".to_string())),
+        ]);
+        assert!(parse_worker_message(&foreign).is_err());
     }
 
     #[test]
@@ -1617,7 +1539,7 @@ mod tests {
         let config = CheckConfig::default().depth(8).no_timeout().certify(true);
         let wire = request_json("bmc", &m, &[("small".to_string(), p)], &[], &config);
         let mut request_bytes = Vec::new();
-        write_frame(&mut request_bytes, &wire).unwrap();
+        write_frame(&mut request_bytes, &job_json(1, None, wire)).unwrap();
 
         let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         struct SharedOut(Arc<Mutex<Vec<u8>>>);
@@ -1630,16 +1552,28 @@ mod tests {
                 Ok(())
             }
         }
-        let mut input = std::io::BufReader::new(&request_bytes[..]);
-        serve_worker(&mut input, SharedOut(Arc::clone(&out))).expect("serve");
+        // The input ends right after the job: the end of stream stands in
+        // for the ack, and the loop returns cleanly.
+        let input = FrameReader::pipe(std::io::Cursor::new(request_bytes));
+        let served = serve(input, SharedOut(Arc::clone(&out))).expect("serve");
+        assert_eq!(served, 1);
 
         let bytes = out.lock().unwrap().clone();
         let mut cursor = std::io::BufReader::new(&bytes[..]);
+        let first = read_frame(&mut cursor).unwrap().expect("hello frame");
+        assert!(matches!(
+            parse_worker_message(&first),
+            Ok(WorkerMessage::Hello { .. })
+        ));
         let mut result = None;
         while let Some(frame) = read_frame(&mut cursor).unwrap() {
-            match parse_worker_frame(&frame).unwrap() {
-                WorkerFrame::Heartbeat { .. } => {}
-                WorkerFrame::Result(run) => result = Some(run),
+            match parse_worker_message(&frame).unwrap() {
+                WorkerMessage::Heartbeat { job, .. } => assert_eq!(job, 1),
+                WorkerMessage::Result { job, run } => {
+                    assert_eq!(job, 1);
+                    result = Some(run);
+                }
+                WorkerMessage::Hello { .. } => panic!("a second hello"),
             }
         }
         // The device counts to 5 and violates `small`: a CEX at depth 6,

@@ -1,25 +1,38 @@
-//! Hardened TCP framing and reconnect-backoff suite.
+//! Hardened framing and reconnect-backoff suite.
 //!
-//! The fleet supervisor trusts `NetFrameReader` for three load-bearing
-//! guarantees: a corrupt length prefix cannot trigger a giant
-//! allocation, a stalled peer surfaces as countable `Timeout` ticks
-//! instead of a hung thread, and a close mid-frame is distinguishable
-//! from a clean goodbye at a frame boundary. `Backoff` must double up
-//! to its cap, jitter by at most a quarter, and restart after `reset`.
+//! Both supervisors trust `FrameReader` for three load-bearing
+//! guarantees, on sockets and pipes alike: a corrupt length prefix
+//! cannot trigger a giant allocation, a stalled peer surfaces as
+//! countable `Timeout` ticks instead of a hung thread, and a close
+//! mid-frame is distinguishable from a clean goodbye at a frame
+//! boundary. Every reader test runs over both transports. `Backoff`
+//! must double up to its cap, jitter by at most a quarter, and restart
+//! after `reset`.
 
-use autocc_journal::ipc::{write_frame, Backoff, NetFrameReader, NetRead, MAX_FRAME_BYTES};
+use autocc_journal::ipc::{write_frame, Backoff, FrameReader, Polled, MAX_FRAME_BYTES};
 use autocc_journal::json::Json;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// A connected loopback pair: (client writer, server-side reader).
-fn pair() -> (TcpStream, NetFrameReader) {
+fn socket_pair() -> (TcpStream, FrameReader) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let client = TcpStream::connect(addr).expect("connect loopback");
     let (server, _) = listener.accept().expect("accept loopback");
-    (client, NetFrameReader::new(server))
+    (client, FrameReader::socket(server))
+}
+
+/// Both transports as (writer, reader): a loopback socket and an
+/// anonymous pipe.
+fn pairs() -> Vec<(Box<dyn Write>, FrameReader)> {
+    let (client, socket) = socket_pair();
+    let (pipe_in, pipe_out) = std::io::pipe().expect("anonymous pipe");
+    vec![
+        (Box::new(client), socket),
+        (Box::new(pipe_out), FrameReader::pipe(pipe_in)),
+    ]
 }
 
 fn sample_frame() -> Vec<u8> {
@@ -31,26 +44,28 @@ fn sample_frame() -> Vec<u8> {
 
 #[test]
 fn complete_frame_round_trips() {
-    let (mut client, mut reader) = pair();
-    client.write_all(&sample_frame()).expect("send frame");
-    match reader.poll_frame(Duration::from_secs(5)).expect("poll") {
-        NetRead::Frame(json) => {
-            assert_eq!(json.get("kind").and_then(Json::as_str), Some("probe"));
+    for (mut client, mut reader) in pairs() {
+        client.write_all(&sample_frame()).expect("send frame");
+        match reader.poll_frame(Duration::from_secs(5)).expect("poll") {
+            Polled::Frame(json) => {
+                assert_eq!(json.get("kind").and_then(Json::as_str), Some("probe"));
+            }
+            _ => panic!("expected a complete frame"),
         }
-        _ => panic!("expected a complete frame"),
     }
 }
 
 #[test]
 fn two_frames_in_one_write_are_both_delivered() {
-    let (mut client, mut reader) = pair();
-    let mut bytes = sample_frame();
-    bytes.extend_from_slice(&sample_frame());
-    client.write_all(&bytes).expect("send both frames");
-    for _ in 0..2 {
-        match reader.poll_frame(Duration::from_secs(5)).expect("poll") {
-            NetRead::Frame(_) => {}
-            _ => panic!("expected back-to-back frames"),
+    for (mut client, mut reader) in pairs() {
+        let mut bytes = sample_frame();
+        bytes.extend_from_slice(&sample_frame());
+        client.write_all(&bytes).expect("send both frames");
+        for _ in 0..2 {
+            match reader.poll_frame(Duration::from_secs(5)).expect("poll") {
+                Polled::Frame(_) => {}
+                _ => panic!("expected back-to-back frames"),
+            }
         }
     }
 }
@@ -60,87 +75,95 @@ fn two_frames_in_one_write_are_both_delivered() {
 /// attacker-controlled length never sizes an allocation.
 #[test]
 fn oversized_declared_length_is_rejected_from_prefix_alone() {
-    let (mut client, mut reader) = pair();
-    let declared = MAX_FRAME_BYTES + 1;
-    client
-        .write_all(format!("{declared:08x}").as_bytes())
-        .expect("send prefix");
-    // Deliberately send no payload: the reject must come from the prefix.
-    let err = match reader.poll_frame(Duration::from_secs(5)) {
-        Err(e) => e,
-        Ok(_) => panic!("oversized frame must be an error"),
-    };
-    assert!(
-        err.to_string().contains("ceiling"),
-        "unexpected error: {err}"
-    );
+    for (mut client, mut reader) in pairs() {
+        let declared = MAX_FRAME_BYTES + 1;
+        client
+            .write_all(format!("{declared:08x}").as_bytes())
+            .expect("send prefix");
+        // Deliberately send no payload: the reject must come from the
+        // prefix.
+        let err = match reader.poll_frame(Duration::from_secs(5)) {
+            Err(e) => e,
+            Ok(_) => panic!("oversized frame must be an error"),
+        };
+        assert!(
+            err.to_string().contains("ceiling"),
+            "unexpected error: {err}"
+        );
+    }
 }
 
 #[test]
 fn non_hex_length_prefix_is_rejected() {
-    let (mut client, mut reader) = pair();
-    client.write_all(b"zzzzzzzz{}").expect("send junk");
-    assert!(reader.poll_frame(Duration::from_secs(5)).is_err());
+    for (mut client, mut reader) in pairs() {
+        client.write_all(b"zzzzzzzz{}").expect("send junk");
+        assert!(reader.poll_frame(Duration::from_secs(5)).is_err());
+    }
 }
 
 /// A partial frame left in the buffer at a timeout must survive into the
 /// next poll: polling is lossless.
 #[test]
 fn partial_frame_carries_over_between_polls() {
-    let (mut client, mut reader) = pair();
-    let bytes = sample_frame();
-    let (head, tail) = bytes.split_at(bytes.len() / 2);
-    client.write_all(head).expect("send first half");
-    match reader.poll_frame(Duration::from_millis(50)).expect("poll") {
-        NetRead::Timeout => {}
-        _ => panic!("half a frame must time out, not parse"),
-    }
-    client.write_all(tail).expect("send second half");
-    match reader.poll_frame(Duration::from_secs(5)).expect("poll") {
-        NetRead::Frame(json) => {
-            assert_eq!(json.get("kind").and_then(Json::as_str), Some("probe"));
+    for (mut client, mut reader) in pairs() {
+        let bytes = sample_frame();
+        let (head, tail) = bytes.split_at(bytes.len() / 2);
+        client.write_all(head).expect("send first half");
+        match reader.poll_frame(Duration::from_millis(50)).expect("poll") {
+            Polled::Timeout => {}
+            _ => panic!("half a frame must time out, not parse"),
         }
-        _ => panic!("carried-over frame must complete"),
+        client.write_all(tail).expect("send second half");
+        match reader.poll_frame(Duration::from_secs(5)).expect("poll") {
+            Polled::Frame(json) => {
+                assert_eq!(json.get("kind").and_then(Json::as_str), Some("probe"));
+            }
+            _ => panic!("carried-over frame must complete"),
+        }
     }
 }
 
 /// `poll_frame` returns within (roughly) its deadline against a silent
-/// peer — the half-open-socket guarantee the lease clock depends on.
+/// peer — the half-open-socket guarantee the lease clock depends on,
+/// and the wedged-worker guarantee the stall clock depends on.
 #[test]
 fn poll_frame_honors_its_deadline_against_a_silent_peer() {
-    let (_client, mut reader) = pair();
-    let started = Instant::now();
-    match reader.poll_frame(Duration::from_millis(100)).expect("poll") {
-        NetRead::Timeout => {}
-        _ => panic!("silent peer must time out"),
+    for (_client, mut reader) in pairs() {
+        let started = Instant::now();
+        match reader.poll_frame(Duration::from_millis(100)).expect("poll") {
+            Polled::Timeout => {}
+            _ => panic!("silent peer must time out"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "poll blocked far past its deadline"
+        );
     }
-    assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "poll blocked far past its deadline"
-    );
 }
 
 #[test]
 fn peer_close_at_frame_boundary_is_clean_eof() {
-    let (client, mut reader) = pair();
-    drop(client);
-    match reader.poll_frame(Duration::from_secs(5)).expect("poll") {
-        NetRead::Eof => {}
-        _ => panic!("close at a boundary must be Eof"),
+    for (client, mut reader) in pairs() {
+        drop(client);
+        match reader.poll_frame(Duration::from_secs(5)).expect("poll") {
+            Polled::Eof => {}
+            _ => panic!("close at a boundary must be Eof"),
+        }
     }
 }
 
 #[test]
 fn peer_close_mid_frame_is_an_error() {
-    let (mut client, mut reader) = pair();
-    let bytes = sample_frame();
-    client.write_all(&bytes[..6]).expect("send partial prefix");
-    client.flush().expect("flush");
-    drop(client);
-    assert!(
-        reader.poll_frame(Duration::from_secs(5)).is_err(),
-        "close mid-frame must be an error, not Eof"
-    );
+    for (mut client, mut reader) in pairs() {
+        let bytes = sample_frame();
+        client.write_all(&bytes[..6]).expect("send partial prefix");
+        client.flush().expect("flush");
+        drop(client);
+        assert!(
+            reader.poll_frame(Duration::from_secs(5)).is_err(),
+            "close mid-frame must be an error, not Eof"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -16,9 +16,10 @@
 //!   counters, run profiles.
 //! * [`journal`] — crash-safe run journal: append-only fsync'd check
 //!   records, torn-tail recovery, content-addressed resume; plus the
-//!   worker IPC protocol for process-isolated checks.
+//!   worker protocol that isolated and fleet workers speak.
 //! * [`bench`] — experiment harness: campaign runner, report tables,
-//!   and the process-isolation supervisor (worker pools, quarantine).
+//!   and the worker supervisor (isolated pools, remote fleet,
+//!   quarantine).
 //!
 //! See the repository README for a quickstart, `DESIGN.md` for the system
 //! inventory, and `EXPERIMENTS.md` for the paper-vs-measured record.

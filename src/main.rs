@@ -4,14 +4,16 @@
 //! artifact dumps (SVA property file, Verilog, VCD waveform).
 //!
 //! ```text
-//! autocc <dut> [--depth N] [--threshold N] [--jobs N] [--slice on|off]
-//!              [--retries N] [--timeout SECS] [--poll-interval N]
-//!              [--isolate] [--memory-limit-mb N] [--worker-heartbeat-ms N]
-//!              [--certify] [--profile FILE]
-//!              [--journal FILE] [--resume | --fresh]
-//!              [--prove] [--minimize] [--sva] [--verilog] [--vcd FILE]
-//!              [--list]
+//! autocc <dut> [--threshold N] [--prove] [--minimize] [--sva] [--verilog]
+//!              [--vcd FILE] [shared check flags]
+//! autocc --list
 //! ```
+//!
+//! The shared check flags (`--depth`, `--jobs`, `--isolate`, `--listen`,
+//! `--journal`, `--profile`, ...) are the report binaries' own, parsed by
+//! `bench::cli`; only the defaults differ: depth 16 and a 3600 s budget
+//! per check. The report-only flags (`--stable`, `--detailed`,
+//! `--hang-factor`, `--retry-failed`) are refused.
 //!
 //! `--certify` makes every verdict independently checkable: UNSAT-backed
 //! answers (CLEAN, PROVED) carry a DRAT proof checked by a self-contained
@@ -31,12 +33,9 @@
 //! `config-device-fixed`.
 
 use autocc::bench::{
-    maybe_run_worker, Fleet, FleetConfig, FleetEngine, ProcEngine, WorkerLimits, WorkerPool,
+    finish_fleet, finish_profile, maybe_run_worker, parse_flags, Placement, ReportArgs,
 };
-use autocc::bmc::{
-    config_fingerprint, content_key, CertificateStatus, CheckConfig, CheckMode, Granularity,
-    Isolation,
-};
+use autocc::bmc::{config_fingerprint, content_key, CertificateStatus, CheckConfig, CheckMode};
 use autocc::core::{
     format_duration, to_sva, AutoCcOutcome, CheckReport, FpvTestbench, FtSpec, PropertyVerdict,
 };
@@ -47,10 +46,8 @@ use autocc::duts::maple::{build_maple, MapleConfig};
 use autocc::duts::vscale::{arch, build_vscale, VscaleConfig};
 use autocc::hdl::{to_verilog, Instance, Module, ModuleBuilder, NodeId};
 use autocc::journal::{Journal, JournalEntry, JournalHeader, JOURNAL_SCHEMA_VERSION};
-use autocc::telemetry::{ProfileRecorder, Telemetry};
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 const DUTS: &[(&str, &str)] = &[
@@ -69,29 +66,11 @@ const DUTS: &[(&str, &str)] = &[
     ("config-device-fixed", "demo device with a working flush"),
 ];
 
-struct Args {
+/// The flags only the CLI has; everything else is a [`ReportArgs`] flag.
+#[derive(Default)]
+struct Cli {
     dut: String,
-    depth: usize,
     threshold: Option<u32>,
-    jobs: usize,
-    slice: bool,
-    granularity: Granularity,
-    cluster_overlap: Option<f64>,
-    retries: u32,
-    timeout: Duration,
-    poll_interval: u64,
-    profile: Option<String>,
-    journal: Option<String>,
-    resume: bool,
-    fresh: bool,
-    isolate: bool,
-    memory_limit_mb: Option<u64>,
-    worker_heartbeat_ms: Option<u64>,
-    listen: Option<String>,
-    lease_factor: Option<u64>,
-    fleet_grace_ms: Option<u64>,
-    fleet_lease_ms: Option<u64>,
-    certify: bool,
     prove: bool,
     minimize: bool,
     dump_sva: bool,
@@ -99,170 +78,54 @@ struct Args {
     vcd: Option<String>,
 }
 
-fn usage() -> ExitCode {
-    eprintln!("usage: autocc <dut> [--depth N] [--threshold N] [--jobs N]");
-    eprintln!("              [--slice on|off] [--retries N] [--timeout SECS]");
-    eprintln!("              [--granularity monolithic|output|register]");
-    eprintln!("              [--cluster-overlap FRACTION]");
-    eprintln!("              [--poll-interval N] [--profile FILE]");
-    eprintln!("              [--isolate] [--memory-limit-mb N] [--worker-heartbeat-ms N]");
-    eprintln!("              [--listen ADDR] [--lease-factor N] [--fleet-grace-ms N]");
-    eprintln!("              [--fleet-lease-ms N]");
-    eprintln!("              [--certify] [--journal FILE] [--resume | --fresh]");
-    eprintln!("              [--prove] [--minimize]");
-    eprintln!("              [--sva] [--verilog] [--vcd FILE]");
-    eprintln!("       autocc --list");
-    ExitCode::FAILURE
-}
+const USAGE: &str = "\
+usage: autocc <dut> [--depth N] [--threshold N] [--jobs N]
+              [--slice on|off] [--retries N] [--timeout SECS]
+              [--granularity monolithic|output|register]
+              [--cluster-overlap FRACTION]
+              [--poll-interval N] [--profile FILE]
+              [--isolate] [--memory-limit-mb N] [--worker-heartbeat-ms N]
+              [--listen ADDR] [--lease-factor N] [--fleet-grace-ms N]
+              [--certify] [--journal FILE] [--resume | --fresh]
+              [--prove] [--minimize]
+              [--sva] [--verilog] [--vcd FILE]
+       autocc --list";
 
-fn parse_args() -> Result<Args, ExitCode> {
-    let mut argv = std::env::args().skip(1);
-    let mut args = Args {
-        dut: String::new(),
-        depth: 16,
-        threshold: None,
-        jobs: 1,
-        slice: false,
-        granularity: Granularity::Monolithic,
-        cluster_overlap: None,
-        retries: 1,
-        timeout: Duration::from_secs(3600),
-        poll_interval: 128,
-        profile: None,
-        journal: None,
-        resume: false,
-        fresh: false,
-        isolate: false,
-        memory_limit_mb: None,
-        worker_heartbeat_ms: None,
-        listen: None,
-        lease_factor: None,
-        fleet_grace_ms: None,
-        fleet_lease_ms: None,
-        certify: false,
-        prove: false,
-        minimize: false,
-        dump_sva: false,
-        dump_verilog: false,
-        vcd: None,
-    };
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--list" => {
-                println!("built-in DUTs:");
-                for (name, desc) in DUTS {
-                    println!("  {name:<22} {desc}");
-                }
-                return Err(ExitCode::SUCCESS);
-            }
-            "--depth" => {
-                args.depth = argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?;
-            }
+fn parse_args() -> Result<(Cli, ReportArgs), ExitCode> {
+    let mut cli = Cli::default();
+    let mut list = false;
+    let args = parse_flags(USAGE, std::env::args().skip(1), |arg, rest| {
+        match arg {
+            "--list" => list = true,
             "--threshold" => {
-                args.threshold = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
+                let n = rest.next().and_then(|v| v.parse().ok());
+                cli.threshold = Some(n.ok_or("--threshold needs a number")?);
             }
-            "--jobs" => {
-                args.jobs = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&j| j >= 1)
-                    .ok_or_else(usage)?;
+            "--prove" => cli.prove = true,
+            "--minimize" => cli.minimize = true,
+            "--sva" => cli.dump_sva = true,
+            "--verilog" => cli.dump_verilog = true,
+            "--vcd" => cli.vcd = Some(rest.next().ok_or("--vcd needs a file path")?),
+            "--stable" | "--detailed" | "--hang-factor" | "--retry-failed" => {
+                return Err(format!("{arg} is a report-binary flag"));
             }
-            "--slice" => {
-                args.slice = match argv.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => return Err(usage()),
-                };
-            }
-            "--granularity" => {
-                let v = argv.next().ok_or_else(usage)?;
-                args.granularity = Granularity::parse(&v).ok_or_else(usage)?;
-            }
-            "--cluster-overlap" => {
-                args.cluster_overlap = Some(
-                    argv.next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|f| f.is_finite() && (0.0..=1.0).contains(f))
-                        .ok_or_else(usage)?,
-                );
-            }
-            "--retries" => {
-                args.retries = argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?;
-            }
-            "--timeout" => {
-                let secs: u64 = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s| s >= 1)
-                    .ok_or_else(usage)?;
-                args.timeout = Duration::from_secs(secs);
-            }
-            "--poll-interval" => {
-                args.poll_interval = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&p| p >= 1)
-                    .ok_or_else(usage)?;
-            }
-            "--isolate" => args.isolate = true,
-            "--certify" => args.certify = true,
-            "--memory-limit-mb" => {
-                args.memory_limit_mb = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&m| m >= 1)
-                        .ok_or_else(usage)?,
-                );
-            }
-            "--worker-heartbeat-ms" => {
-                args.worker_heartbeat_ms = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&m| m >= 1)
-                        .ok_or_else(usage)?,
-                );
-            }
-            "--listen" => args.listen = Some(argv.next().ok_or_else(usage)?),
-            "--lease-factor" => {
-                args.lease_factor = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&f| f >= 1)
-                        .ok_or_else(usage)?,
-                );
-            }
-            "--fleet-grace-ms" => {
-                args.fleet_grace_ms =
-                    Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--fleet-lease-ms" => {
-                args.fleet_lease_ms = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&m| m >= 1)
-                        .ok_or_else(usage)?,
-                );
-            }
-            "--profile" => args.profile = Some(argv.next().ok_or_else(usage)?),
-            "--journal" => args.journal = Some(argv.next().ok_or_else(usage)?),
-            "--resume" => args.resume = true,
-            "--fresh" => args.fresh = true,
-            "--prove" => args.prove = true,
-            "--minimize" => args.minimize = true,
-            "--sva" => args.dump_sva = true,
-            "--verilog" => args.dump_verilog = true,
-            "--vcd" => args.vcd = Some(argv.next().ok_or_else(usage)?),
-            name if !name.starts_with('-') && args.dut.is_empty() => {
-                args.dut = name.to_string();
-            }
-            _ => return Err(usage()),
+            dut if !dut.starts_with('-') && cli.dut.is_empty() => cli.dut = dut.to_string(),
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if list {
+        println!("built-in DUTs:");
+        for (name, desc) in DUTS {
+            println!("  {name:<22} {desc}");
+        }
+        return Err(ExitCode::SUCCESS);
     }
-    if args.dut.is_empty() {
-        return Err(usage());
+    if cli.dut.is_empty() {
+        eprintln!("error: no DUT given\n{USAGE}");
+        return Err(ExitCode::from(2));
     }
-    Ok(args)
+    Ok((cli, args))
 }
 
 fn maple_flush(b: &mut ModuleBuilder, ua: &Instance, ub: &Instance) -> NodeId {
@@ -484,49 +347,6 @@ fn report(ft: &FpvTestbench, run: &CheckReport, minimize: bool, vcd: &Option<Str
     }
 }
 
-/// Runs the check or proof live, dispatching to the remote fleet when
-/// one is listening (`--listen`), else substituting process-isolated
-/// engines when a worker pool is present (`--isolate`). Neither changes
-/// answers — every rung runs the same engine with the same deterministic
-/// budgets — they only move the blast radius (and the CPU) elsewhere.
-fn solve(
-    ft: &FpvTestbench,
-    config: &CheckConfig,
-    prove: bool,
-    fleet: Option<&Arc<Fleet>>,
-    pool: Option<&Arc<WorkerPool>>,
-) -> CheckReport {
-    let pool_arc = pool.map(Arc::clone);
-    match (prove, fleet, pool) {
-        (false, Some(fleet), _) => {
-            ft.check_portfolio_with(config, &FleetEngine::for_check(Arc::clone(fleet), pool_arc))
-        }
-        (false, None, None) => ft.check_portfolio(config),
-        (false, None, Some(pool)) => {
-            ft.check_portfolio_with(config, &ProcEngine::for_check(Arc::clone(pool)))
-        }
-        (true, Some(fleet), _) => {
-            let induction = FleetEngine::for_prove(Arc::clone(fleet), pool_arc.clone());
-            if config.jobs > 1 {
-                let falsifier = FleetEngine::falsifier(Arc::clone(fleet), pool_arc);
-                ft.prove_portfolio_with(config, &[&induction, &falsifier])
-            } else {
-                ft.prove_portfolio_with(config, &[&induction])
-            }
-        }
-        (true, None, None) => ft.prove_portfolio(config),
-        (true, None, Some(pool)) => {
-            let induction = ProcEngine::for_prove(Arc::clone(pool));
-            if config.jobs > 1 {
-                let falsifier = ProcEngine::falsifier(Arc::clone(pool));
-                ft.prove_portfolio_with(config, &[&induction, &falsifier])
-            } else {
-                ft.prove_portfolio_with(config, &[&induction])
-            }
-        }
-    }
-}
-
 /// Runs the check through the crash-safe journal: an identical completed
 /// check (same content key: COI-sliced miter, properties, deterministic
 /// budgets, mode) is served from the journal — replay-certifying any
@@ -535,22 +355,18 @@ fn solve(
 fn run_journaled(
     ft: &FpvTestbench,
     config: &CheckConfig,
-    args: &Args,
-    fleet: Option<&Arc<Fleet>>,
-    pool: Option<&Arc<WorkerPool>>,
+    cli: &Cli,
+    args: &ReportArgs,
+    placement: &Placement,
     path: &Path,
 ) -> Result<CheckReport, String> {
-    let mode = if args.prove {
-        CheckMode::Prove
-    } else {
-        CheckMode::Check
-    };
+    let mode = mode(cli);
     let key = content_key(ft.miter(), ft.properties(), ft.constraints(), config, mode);
     let fingerprint = config_fingerprint(config);
     let header = JournalHeader {
         schema: JOURNAL_SCHEMA_VERSION,
         fingerprint,
-        root: args.dut.clone(),
+        root: cli.dut.clone(),
     };
     let (mut journal, cached) = if args.fresh || !path.exists() {
         let journal = Journal::create(path, &header).map_err(|e| e.to_string())?;
@@ -640,10 +456,10 @@ fn run_journaled(
             }
         }
     }
-    let run = solve(ft, config, args.prove, fleet, pool);
+    let run = placement.run(ft, config, mode);
     let entry = JournalEntry {
         key,
-        id: args.dut.clone(),
+        id: cli.dut.clone(),
         mode,
         engine: "portfolio".to_string(),
         attempt,
@@ -657,17 +473,25 @@ fn run_journaled(
     Ok(run)
 }
 
+fn mode(cli: &Cli) -> CheckMode {
+    if cli.prove {
+        CheckMode::Prove
+    } else {
+        CheckMode::Check
+    }
+}
+
 fn main() -> ExitCode {
-    // `autocc worker` is the hidden subcommand isolated campaigns spawn:
-    // serve one check request on stdin/stdout, then exit. Never returns
+    // `autocc worker` is the hidden subcommand isolated campaigns spawn
+    // (and `autocc worker --connect ADDR` joins a fleet). Never returns
     // when invoked that way.
     maybe_run_worker();
-    let args = match parse_args() {
-        Ok(a) => a,
+    let (cli, args) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(code) => return code,
     };
-    let Some((dut, configure)) = build(&args.dut) else {
-        eprintln!("unknown DUT `{}`; try --list", args.dut);
+    let Some((dut, configure)) = build(&cli.dut) else {
+        eprintln!("unknown DUT `{}`; try --list", cli.dut);
         return ExitCode::FAILURE;
     };
 
@@ -678,12 +502,12 @@ fn main() -> ExitCode {
         dut.inputs().len(),
         dut.outputs().len()
     );
-    if args.dump_verilog {
+    if cli.dump_verilog {
         println!("\n{}", to_verilog(&dut));
     }
 
     let mut spec = FtSpec::new(&dut).granularity(args.granularity);
-    if let Some(t) = args.threshold {
+    if let Some(t) = cli.threshold {
         spec = spec.threshold(t);
     }
     let ft = configure(spec).generate();
@@ -693,103 +517,31 @@ fn main() -> ExitCode {
         ft.properties().len(),
         ft.threshold()
     );
-    if args.dump_sva {
+    if cli.dump_sva {
         println!("\n{}", to_sva(&ft, &dut));
     }
 
-    let mut config = CheckConfig::default()
-        .depth(args.depth)
-        .timeout(args.timeout)
-        .jobs(args.jobs)
-        .slice(args.slice)
-        .granularity(args.granularity)
-        .retries(args.retries)
-        .poll_interval(args.poll_interval)
-        .certify(args.certify);
-    if let Some(overlap) = args.cluster_overlap {
-        config = config.cluster_overlap(overlap);
-    }
-    if args.isolate {
-        config = config.isolate().memory_limit_mb(args.memory_limit_mb);
-    }
-    if let Some(ms) = args.worker_heartbeat_ms {
-        config = config.heartbeat_ms(ms);
-    }
-    // `--profile` attaches a recorder; without it telemetry stays a no-op
-    // and the run is bit-identical to an uninstrumented build.
-    let recorder = args
-        .profile
-        .as_ref()
-        .map(|_| Arc::new(ProfileRecorder::new()));
-    if let Some(recorder) = &recorder {
-        config.telemetry = Telemetry::root(recorder.clone(), &args.dut);
-    }
-    // A fleet always gets a local pool: it is the fallback rung when the
-    // remote workers drain out.
-    let want_pool = matches!(config.isolation, Isolation::Subprocess) || args.listen.is_some();
-    let pool = want_pool.then(|| Arc::new(WorkerPool::new(WorkerLimits::from_config(&config))));
-    let fleet = match &args.listen {
-        None => None,
-        Some(addr) => {
-            let mut fc = FleetConfig {
-                limits: WorkerLimits::from_config(&config),
-                ..FleetConfig::default()
-            };
-            if let Some(f) = args.lease_factor {
-                fc.lease_factor = f;
-            }
-            if let Some(ms) = args.fleet_grace_ms {
-                fc.fallback_grace = Duration::from_millis(ms);
-            }
-            if let Some(ms) = args.fleet_lease_ms {
-                fc.lease_override = Some(Duration::from_millis(ms));
-            }
-            match Fleet::listen(addr, fc) {
-                Ok(fleet) => {
-                    eprintln!("fleet: listening on {}", fleet.addr());
-                    Some(fleet)
-                }
-                Err(e) => {
-                    eprintln!("error: cannot listen on {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
+    // The CLI's own defaults under the shared flags: depth 16 and a
+    // one-hour budget per check.
+    let base = CheckConfig::default()
+        .depth(16)
+        .timeout(Duration::from_secs(3600));
+    let (config, profile) = args.instrument(base, &cli.dut);
+    let options = args.campaign_options();
+    let placement = Placement::new(&config, &options);
     let run = match &args.journal {
-        Some(path) => {
-            match run_journaled(
-                &ft,
-                &config,
-                &args,
-                fleet.as_ref(),
-                pool.as_ref(),
-                Path::new(path),
-            ) {
-                Ok(run) => run,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => solve(&ft, &config, args.prove, fleet.as_ref(), pool.as_ref()),
-    };
-    if let Some(fleet) = &fleet {
-        fleet.shutdown();
-        eprintln!("fleet: {}", fleet.stats());
-    }
-    report(&ft, &run, args.minimize, &args.vcd);
-    if let (Some(path), Some(recorder)) = (&args.profile, &recorder) {
-        config.telemetry.close();
-        match std::fs::write(path, recorder.profile().to_json()) {
-            Ok(()) => println!("profile written to {path}"),
+        Some(path) => match run_journaled(&ft, &config, &cli, &args, &placement, path) {
+            Ok(run) => run,
             Err(e) => {
-                eprintln!("failed to write profile {path}: {e}");
+                eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
-        }
-    }
+        },
+        None => placement.run(&ft, &config, mode(&cli)),
+    };
+    finish_fleet(&options);
+    report(&ft, &run, cli.minimize, &cli.vcd);
+    finish_profile(&profile);
     if run.outcome.is_degraded() {
         ExitCode::FAILURE
     } else {
