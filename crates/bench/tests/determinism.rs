@@ -14,6 +14,7 @@ use autocc_bench::{
 };
 use autocc_bmc::{CheckConfig, Granularity};
 use autocc_core::format_table_stable;
+use autocc_telemetry::SolverCounters;
 use std::sync::Arc;
 
 fn options(max_depth: usize) -> CheckConfig {
@@ -147,5 +148,50 @@ fn table1_is_jobs_invariant() {
         serial,
         render(4, true),
         "jobs=4 with slicing changed Table 1"
+    );
+}
+
+/// The solver's search is pinned, not just its verdicts: the per-row
+/// counters of a serial monolithic campaign over three cheap Table-1 rows
+/// (CEXs at depths 8, 8 and 9). Clause-store and propagation rewrites must
+/// keep every decision, conflict and learnt clause; a change that alters
+/// the search on purpose updates these numbers and says so.
+#[test]
+fn cheap_table1_rows_pin_the_solver_counters() {
+    let config = options(9).jobs(1);
+    let mut tasks = table1_tasks_with(Granularity::Monolithic);
+    tasks.retain(|t| matches!(t.id.as_str(), "M2" | "M3" | "A1"));
+    let rows = run_campaign("table1-counters", tasks, &config, &CampaignOptions::off())
+        .expect("campaign without a journal cannot fail to start")
+        .rows;
+    let got: Vec<(&str, Option<usize>, SolverCounters)> = rows
+        .iter()
+        .map(|r| {
+            let stats = r.stats.expect("a live row carries its solver counters");
+            (r.id.as_str(), r.depth, stats)
+        })
+        .collect();
+    let counters = |solve_calls, conflicts, decisions, propagations, restarts, learnt_clauses| {
+        SolverCounters {
+            solve_calls,
+            conflicts,
+            decisions,
+            propagations,
+            restarts,
+            learnt_clauses,
+            deleted_clauses: 0,
+        }
+    };
+    assert_eq!(
+        got,
+        vec![
+            ("M2", Some(8), counters(52, 744, 22_588, 507_647, 1, 721)),
+            ("M3", Some(8), counters(52, 805, 19_494, 366_099, 2, 781)),
+            (
+                "A1",
+                Some(9),
+                counters(18, 1_251, 54_226, 2_291_203, 6, 1_249)
+            ),
+        ]
     );
 }

@@ -16,7 +16,8 @@
 //! * Two-watched-literal unit propagation.
 //! * First-UIP clause learning with self-subsumption minimisation.
 //! * VSIDS decision heuristic with phase saving and Luby restarts.
-//! * Activity/LBD-driven learnt-clause database reduction.
+//! * Learnt-clause database reduction ranked by clause activity; binary
+//!   clauses and clauses of LBD at most 2 are always kept.
 //! * Incremental solving under assumptions with failed-assumption cores —
 //!   this is what makes iterative BMC deepening cheap.
 //! * DRAT proof logging with a self-contained forward RUP checker, so
@@ -53,7 +54,6 @@ mod proof;
 mod solver;
 
 pub use brute::{check_model, solve_brute_force, BRUTE_FORCE_VAR_LIMIT};
-pub use clause::{Clause, ClauseDb, ClauseRef};
 pub use dimacs::{Cnf, ParseDimacsError};
 pub use lit::{LBool, Lit, Var};
 pub use proof::{

@@ -11,10 +11,21 @@ use std::ops::Not;
 pub struct Var(u32);
 
 impl Var {
+    /// The largest variable index: both literal codes of every variable
+    /// fit a `u32`.
+    pub(crate) const MAX_INDEX: usize = u32::MAX as usize / 2 - 1;
+
     /// Creates a variable from its dense index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is `u32::MAX / 2` or more.
     #[inline]
     pub fn from_index(index: usize) -> Var {
-        debug_assert!(index < u32::MAX as usize / 2);
+        assert!(
+            index <= Var::MAX_INDEX,
+            "variable index {index} out of range"
+        );
         Var(index as u32)
     }
 

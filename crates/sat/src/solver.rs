@@ -8,6 +8,16 @@
 //! bounded model checker in `autocc-bmc` encodes unrolled netlists into CNF
 //! and drives this solver.
 //!
+//! Clauses live in a flat arena (`clause.rs`): propagation reads a
+//! long clause's literals in place, and decides a binary clause from its
+//! watcher alone. Learnt-clause reduction marks clauses removed, drops
+//! their watchers in one order-preserving pass per watch list, and compacts
+//! the arena once removed words pass 1/5 of it, relocating watchers, the
+//! trail's reasons and `learnts`. Storage and speed work must leave the
+//! search bit-identical: the same decisions, conflicts, propagations,
+//! learnt and deleted clauses, models and DRAT transcript. Tests pin the
+//! counters, so a change that alters the search says so and re-pins them.
+//!
 //! Solves are interruptible from inside the conflict loop: a wall-clock
 //! [`Solver::set_deadline`] and a pluggable [`Solver::set_interrupt_hook`]
 //! are polled every few conflicts (see [`Solver::set_poll_interval`]) and
@@ -15,9 +25,9 @@
 //! deterministic conflict budget. Neither source alters the search while it
 //! has not fired, so verdicts are bit-identical with or without them.
 
-use crate::clause::{ClauseDb, ClauseRef};
+use crate::clause::{ClauseDb, ClauseRef, Watcher};
 use crate::heap::VarHeap;
-use crate::lit::{LBool, Lit, Var};
+use crate::lit::{Lit, Var};
 use crate::proof::ProofStep;
 use std::time::Instant;
 
@@ -83,12 +93,16 @@ impl Stats {
     }
 }
 
-#[derive(Clone, Copy)]
-struct Watcher {
-    cref: ClauseRef,
-    /// A literal of the clause other than the watched one; if it is already
-    /// true the clause is satisfied and the watch list walk can skip it.
-    blocker: Lit,
+/// Assignment bytes. A literal's value is its variable's byte XOR the
+/// literal's sign bit, so `UNDEF` reads as 2 or 3.
+const TRUE: u8 = 0;
+const FALSE: u8 = 1;
+const UNDEF: u8 = 2;
+
+/// Value of the literal with code `code` under `assigns`.
+#[inline]
+fn value_of(assigns: &[u8], code: usize) -> u8 {
+    assigns[code >> 1] ^ (code & 1) as u8
 }
 
 /// Read-only mid-search observer installed with
@@ -100,6 +114,9 @@ const VAR_DECAY: f64 = 0.95;
 const CLAUSE_DECAY: f64 = 0.999;
 const RESCALE_LIMIT: f64 = 1e100;
 const LUBY_UNIT: u64 = 128;
+/// The arena is compacted once removed clauses hold more than
+/// 1/`COMPACT_DIVISOR` of its words.
+const COMPACT_DIVISOR: usize = 5;
 
 /// Incremental CDCL SAT solver.
 ///
@@ -122,7 +139,7 @@ pub struct Solver {
     learnts: Vec<ClauseRef>,
     watches: Vec<Vec<Watcher>>,
 
-    assigns: Vec<LBool>,
+    assigns: Vec<u8>,
     levels: Vec<u32>,
     reasons: Vec<Option<ClauseRef>>,
     saved_phase: Vec<bool>,
@@ -274,7 +291,7 @@ impl Solver {
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var::from_index(self.assigns.len());
-        self.assigns.push(LBool::Undef);
+        self.assigns.push(UNDEF);
         self.levels.push(0);
         self.reasons.push(None);
         self.saved_phase.push(false);
@@ -385,10 +402,11 @@ impl Solver {
         self.interrupt_fired()
     }
 
-    /// Current value of a literal under the partial assignment.
+    /// Current value of a literal under the partial assignment: `TRUE`,
+    /// `FALSE`, or 2 or more when unassigned.
     #[inline]
-    fn lit_value(&self, l: Lit) -> LBool {
-        self.assigns[l.var().index()].xor(!l.is_positive())
+    fn lit_value(&self, l: Lit) -> u8 {
+        value_of(&self.assigns, l.code())
     }
 
     /// Adds a clause. Returns `false` if the formula is now trivially
@@ -413,9 +431,9 @@ impl Solver {
                 }
             }
             match self.lit_value(l) {
-                LBool::True => return true, // already satisfied at root
-                LBool::False => {}          // falsified at root: drop literal
-                LBool::Undef => cleaned.push(l),
+                TRUE => return true, // already satisfied at root
+                FALSE => {}          // falsified at root: drop literal
+                _ => cleaned.push(l),
             }
             prev = Some(l);
         }
@@ -436,7 +454,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.clauses.insert(cleaned, false, 0);
+                let cref = self.clauses.insert(&cleaned, false, 0);
                 self.attach(cref);
                 true
             }
@@ -444,21 +462,10 @@ impl Solver {
     }
 
     fn attach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.clauses.get(cref);
-            (c.lits()[0], c.lits()[1])
-        };
-        self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
-    }
-
-    fn detach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.clauses.get(cref);
-            (c.lits()[0], c.lits()[1])
-        };
-        self.watches[(!l0).code()].retain(|w| w.cref != cref);
-        self.watches[(!l1).code()].retain(|w| w.cref != cref);
+        let binary = self.clauses.clause_len(cref) == 2;
+        let (l0, l1) = (self.clauses.lit(cref, 0), self.clauses.lit(cref, 1));
+        self.watches[(!l0).code()].push(Watcher::new(cref, l1, binary));
+        self.watches[(!l1).code()].push(Watcher::new(cref, l0, binary));
     }
 
     #[inline]
@@ -467,15 +474,25 @@ impl Solver {
     }
 
     fn unchecked_enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
-        debug_assert_eq!(self.lit_value(l), LBool::Undef);
+        debug_assert!(self.lit_value(l) >= UNDEF);
         let vi = l.var().index();
-        self.assigns[vi] = LBool::from_bool(l.is_positive());
+        // The byte that makes `l` read TRUE is its own sign bit.
+        self.assigns[vi] = (l.code() & 1) as u8;
         self.levels[vi] = self.decision_level() as u32;
         self.reasons[vi] = reason;
         self.trail.push(l);
     }
 
     /// Unit propagation; returns the conflicting clause if any.
+    ///
+    /// The search depends on the watch-list and literal orders this leaves
+    /// behind: a long clause is reordered to [other, ¬p, ...] on every
+    /// visit, and watch lists change only by `swap_remove` and blocker
+    /// updates. A binary clause is decided from its watcher and keeps
+    /// whatever order it has, so reason readers skip the implied literal by
+    /// variable rather than by position 0, and a binary conflict is put in
+    /// [other, ¬p] order, as a long conflict clause is, before `analyze`
+    /// walks it.
     fn propagate(&mut self) -> Option<ClauseRef> {
         let mut conflict = None;
         while self.qhead < self.trail.len() {
@@ -483,51 +500,62 @@ impl Solver {
             self.qhead += 1;
             self.stats.propagations += 1;
 
+            let false_code = (!p).code() as u32;
             let mut i = 0;
             let mut watch_list = std::mem::take(&mut self.watches[p.code()]);
             'watchers: while i < watch_list.len() {
                 let w = watch_list[i];
-                if self.lit_value(w.blocker) == LBool::True {
+                let blocker_value = self.lit_value(w.blocker);
+                if blocker_value == TRUE {
                     i += 1;
                     continue;
                 }
-                // Normalise: watched literal !p at position 1.
-                let false_lit = !p;
-                {
-                    let c = self.clauses.get_mut(w.cref);
-                    if c.lits()[0] == false_lit {
-                        c.swap(0, 1);
+                if w.is_binary() {
+                    if blocker_value == FALSE {
+                        let codes = self.clauses.codes_mut(w.cref());
+                        if codes[0] == false_code {
+                            codes.swap(0, 1);
+                        }
+                        conflict = Some(w.cref());
+                        self.qhead = self.trail.len();
+                        break;
                     }
-                    debug_assert_eq!(c.lits()[1], false_lit);
+                    self.unchecked_enqueue(w.blocker, Some(w.cref()));
+                    i += 1;
+                    continue;
                 }
-                let first = self.clauses.get(w.cref).lits()[0];
-                if first != w.blocker && self.lit_value(first) == LBool::True {
+                let cref = w.cref();
+                let codes = self.clauses.codes_mut(cref);
+                // Normalise: watched literal !p at position 1.
+                if codes[0] == false_code {
+                    codes.swap(0, 1);
+                }
+                debug_assert_eq!(codes[1], false_code);
+                let first = Lit::from_code(codes[0] as usize);
+                let first_value = value_of(&self.assigns, first.code());
+                if first != w.blocker && first_value == TRUE {
                     watch_list[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                let len = self.clauses.get(w.cref).len();
-                for k in 2..len {
-                    let lk = self.clauses.get(w.cref).lits()[k];
-                    if self.lit_value(lk) != LBool::False {
-                        self.clauses.get_mut(w.cref).swap(1, k);
-                        self.watches[(!lk).code()].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                        });
+                for k in 2..codes.len() {
+                    let lk = codes[k] as usize;
+                    if value_of(&self.assigns, lk) != FALSE {
+                        codes.swap(1, k);
+                        self.watches[lk ^ 1].push(Watcher::new(cref, first, false));
                         watch_list.swap_remove(i);
                         continue 'watchers;
                     }
                 }
                 // Clause is unit or conflicting.
                 watch_list[i].blocker = first;
-                if self.lit_value(first) == LBool::False {
-                    conflict = Some(w.cref);
+                if first_value == FALSE {
+                    conflict = Some(cref);
                     self.qhead = self.trail.len();
                     break;
                 }
-                self.unchecked_enqueue(first, Some(w.cref));
+                self.unchecked_enqueue(first, Some(cref));
                 i += 1;
             }
             debug_assert!(self.watches[p.code()].is_empty());
@@ -548,7 +576,7 @@ impl Solver {
             let l = self.trail[idx];
             let vi = l.var().index();
             self.saved_phase[vi] = l.is_positive();
-            self.assigns[vi] = LBool::Undef;
+            self.assigns[vi] = UNDEF;
             self.reasons[vi] = None;
             self.order.insert(l.var(), &self.activity);
         }
@@ -569,12 +597,12 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let inc = self.clause_inc;
-        let c = self.clauses.get_mut(cref);
-        c.activity += inc;
-        if c.activity > RESCALE_LIMIT {
-            for lref in &self.learnts {
-                self.clauses.get_mut(*lref).activity *= 1.0 / RESCALE_LIMIT;
+        let activity = self.clauses.activity(cref) + self.clause_inc;
+        self.clauses.set_activity(cref, activity);
+        if activity > RESCALE_LIMIT {
+            for &lref in &self.learnts {
+                let scaled = self.clauses.activity(lref) * (1.0 / RESCALE_LIMIT);
+                self.clauses.set_activity(lref, scaled);
             }
             self.clause_inc *= 1.0 / RESCALE_LIMIT;
         }
@@ -589,15 +617,15 @@ impl Solver {
         let mut index = self.trail.len();
 
         loop {
-            if self.clauses.get(confl).learnt {
+            if self.clauses.is_learnt(confl) {
                 self.bump_clause(confl);
             }
-            let start = usize::from(p.is_some());
-            let clen = self.clauses.get(confl).len();
-            for j in start..clen {
-                let q = self.clauses.get(confl).lits()[j];
+            // A reason clause's implied literal is `p` itself.
+            let implied = p.map(Lit::var);
+            for j in 0..self.clauses.clause_len(confl) {
+                let q = self.clauses.lit(confl, j);
                 let vi = q.var().index();
-                if !self.seen[vi] && self.levels[vi] > 0 {
+                if Some(q.var()) != implied && !self.seen[vi] && self.levels[vi] > 0 {
                     self.bump_var(q.var());
                     self.seen[vi] = true;
                     if self.levels[vi] as usize >= self.decision_level() {
@@ -638,9 +666,11 @@ impl Solver {
             let l = learnt[i];
             let redundant = match self.reasons[l.var().index()] {
                 None => false,
-                Some(r) => self.clauses.get(r).lits()[1..]
-                    .iter()
-                    .all(|&q| self.seen[q.var().index()] || self.levels[q.var().index()] == 0),
+                Some(r) => self.clauses.lits(r).all(|q| {
+                    q.var() == l.var()
+                        || self.seen[q.var().index()]
+                        || self.levels[q.var().index()] == 0
+                }),
             };
             if !redundant {
                 learnt[j] = l;
@@ -688,9 +718,7 @@ impl Solver {
     /// found while the trail only contains assumption decisions.
     fn analyze_final_conflict(&mut self, confl: ClauseRef) {
         self.conflict_core.clear();
-        let clen = self.clauses.get(confl).len();
-        for j in 0..clen {
-            let q = self.clauses.get(confl).lits()[j];
+        for q in self.clauses.lits(confl) {
             if self.levels[q.var().index()] > 0 {
                 self.seen[q.var().index()] = true;
             }
@@ -714,10 +742,8 @@ impl Solver {
                     self.conflict_core.push(x);
                 }
                 Some(r) => {
-                    let clen = self.clauses.get(r).len();
-                    for j in 1..clen {
-                        let q = self.clauses.get(r).lits()[j];
-                        if self.levels[q.var().index()] > 0 {
+                    for q in self.clauses.lits(r) {
+                        if q.var() != x.var() && self.levels[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
                     }
@@ -727,39 +753,72 @@ impl Solver {
         }
     }
 
+    /// Deletes the less active half of the learnt clauses, except those
+    /// that are a reason on the trail, binary, or of LBD at most 2.
     fn reduce_db(&mut self) {
         let clauses = &self.clauses;
         self.learnts.sort_by(|&a, &b| {
-            let (ca, cb) = (clauses.get(a), clauses.get(b));
-            cb.activity
-                .partial_cmp(&ca.activity)
+            clauses
+                .activity(b)
+                .partial_cmp(&clauses.activity(a))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let keep_from = self.learnts.len() / 2;
         let learnts = std::mem::take(&mut self.learnts);
         let mut kept = Vec::with_capacity(keep_from + 8);
+        // Watch lists that hold a watcher of a removed clause.
+        let mut touched: Vec<usize> = Vec::new();
         for (i, &cref) in learnts.iter().enumerate() {
-            let c = self.clauses.get(cref);
-            let locked = {
-                let l0 = c.lits()[0];
-                self.reasons[l0.var().index()] == Some(cref) && self.lit_value(l0) == LBool::True
-            };
-            if i < keep_from || locked || c.len() <= 2 || c.lbd <= 2 {
+            let l0 = self.clauses.lit(cref, 0);
+            let locked = self.reasons[l0.var().index()] == Some(cref) && self.lit_value(l0) == TRUE;
+            if i < keep_from
+                || locked
+                || self.clauses.clause_len(cref) <= 2
+                || self.clauses.lbd(cref) <= 2
+            {
                 kept.push(cref);
             } else {
-                if self.proof.is_some() {
-                    let lits = self.clauses.get(cref).lits().to_vec();
-                    if let Some(buf) = &mut self.proof {
-                        buf.push(ProofStep::Delete(lits));
-                    }
+                if let Some(buf) = &mut self.proof {
+                    buf.push(ProofStep::Delete(self.clauses.lits(cref).collect()));
                 }
-                self.detach(cref);
+                touched.extend([(!l0).code(), (!self.clauses.lit(cref, 1)).code()]);
                 self.clauses.remove(cref);
                 self.stats.deleted_clauses += 1;
             }
         }
+        // Watch-list order is part of the search, so the removed clauses'
+        // watchers go by an order-preserving `retain`, one pass per list.
+        // Binary clauses are never removed.
+        touched.sort_unstable();
+        touched.dedup();
+        for code in touched {
+            let clauses = &self.clauses;
+            self.watches[code].retain(|w| w.is_binary() || !clauses.is_removed(w.cref()));
+        }
         self.learnts = kept;
         self.stats.learnt_clauses = self.learnts.len() as u64;
+        if self.clauses.wasted() * COMPACT_DIVISOR > self.clauses.words() {
+            self.compact();
+        }
+    }
+
+    /// Compacts the clause arena and moves every handle the solver holds:
+    /// watchers, the reasons of trail literals, and `learnts`.
+    fn compact(&mut self) {
+        let reloc = self.clauses.compact();
+        for watch_list in &mut self.watches {
+            for w in watch_list.iter_mut() {
+                *w = reloc.watcher(*w);
+            }
+        }
+        for l in &self.trail {
+            if let Some(r) = &mut self.reasons[l.var().index()] {
+                *r = reloc.map(*r);
+            }
+        }
+        for r in &mut self.learnts {
+            *r = reloc.map(*r);
+        }
     }
 
     fn lbd(&mut self, lits: &[Lit]) -> u32 {
@@ -771,7 +830,7 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.order.pop(&self.activity) {
-            if self.assigns[v.index()] == LBool::Undef {
+            if self.assigns[v.index()] == UNDEF {
                 return Some(v);
             }
         }
@@ -813,11 +872,7 @@ impl Solver {
             let restart_budget = luby(restart_number) * LUBY_UNIT;
             match self.search(assumptions, restart_budget, budget_start) {
                 SearchOutcome::Sat => {
-                    self.model = self
-                        .assigns
-                        .iter()
-                        .map(|a| a.to_option().unwrap_or(false))
-                        .collect();
+                    self.model = self.assigns.iter().map(|&a| a == TRUE).collect();
                     self.cancel_until(0);
                     return SolveResult::Sat;
                 }
@@ -894,17 +949,17 @@ impl Solver {
                 if self.decision_level() < assumptions.len() {
                     let a = assumptions[self.decision_level()];
                     match self.lit_value(a) {
-                        LBool::True => {
+                        TRUE => {
                             // Already satisfied: open an empty decision level
                             // to keep level/assumption alignment.
                             self.trail_lim.push(self.trail.len());
                             continue;
                         }
-                        LBool::False => {
+                        FALSE => {
                             self.analyze_final(a);
                             return SearchOutcome::Unsat;
                         }
-                        LBool::Undef => {
+                        _ => {
                             self.stats.decisions += 1;
                             self.trail_lim.push(self.trail.len());
                             self.unchecked_enqueue(a, None);
@@ -937,7 +992,7 @@ impl Solver {
         } else {
             let lbd = self.lbd(&learnt);
             let asserting = learnt[0];
-            let cref = self.clauses.insert(learnt, true, lbd);
+            let cref = self.clauses.insert(&learnt, true, lbd);
             self.attach(cref);
             self.learnts.push(cref);
             self.stats.learnt_clauses = self.learnts.len() as u64;
@@ -968,9 +1023,8 @@ impl Solver {
             out.push(vec![l]);
         }
         for cref in self.clauses.iter_refs() {
-            let c = self.clauses.get(cref);
-            if !c.learnt {
-                let mut lits = c.lits().to_vec();
+            if !self.clauses.is_learnt(cref) {
+                let mut lits: Vec<Lit> = self.clauses.lits(cref).collect();
                 lits.sort_unstable();
                 out.push(lits);
             }
@@ -1268,7 +1322,10 @@ mod tests {
 
     mod proof {
         use super::*;
-        use crate::proof::{DratChecker, ProofStep};
+        use crate::brute::check_model;
+        use crate::clause::clause_words;
+        use crate::dimacs::Cnf;
+        use crate::proof::{DratChecker, ProofHasher, ProofStep};
 
         /// Drains the transcript into `checker` and validates the solver's
         /// current certificate against it.
@@ -1444,6 +1501,97 @@ mod tests {
             assert!(s.take_proof_steps().is_empty());
             // Certificates are still produced — only the transcript is off.
             assert_eq!(s.unsat_certificate(), Some(&[a][..]));
+        }
+
+        fn next(rng: &mut u64) -> u64 {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            *rng
+        }
+
+        fn random_lit(rng: &mut u64, vars: &[Var]) -> Lit {
+            let r = next(rng);
+            Lit::new(vars[(r >> 1) as usize % vars.len()], r & 1 == 0)
+        }
+
+        /// An incremental run on a seeded random 3-SAT instance: 30 solves
+        /// under four random assumptions each, with clauses added between
+        /// solves until the clause/variable ratio passes the threshold. A
+        /// learnt limit of 16 makes `reduce_db` and arena compaction run
+        /// mid-search, with reasons on the trail. Every model is checked
+        /// against the clauses, every UNSAT answer against the DRAT
+        /// transcript, and the counters and transcript hash are pinned: a
+        /// change that alters the search has to update them on purpose.
+        #[test]
+        fn reduction_and_compaction_leave_an_incremental_search_unchanged() {
+            let mut rng = 0x2545_F491_4F6C_DD1D_u64;
+            let n = 150;
+            let mut s = Solver::new();
+            s.enable_proof_logging();
+            s.max_learnts = 16.0;
+            let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+            let mut cnf = Cnf::new(n);
+            let mut checker = DratChecker::new();
+            let mut hasher = ProofHasher::new();
+            let mut removed_words = 0;
+            let mut unsat = 0;
+            for round in 0..30 {
+                let target = n * (300 + 5 * round) / 100;
+                while cnf.clauses.len() < target {
+                    let clause: Vec<Lit> = (0..3).map(|_| random_lit(&mut rng, &vars)).collect();
+                    s.add_clause(&clause);
+                    cnf.clauses.push(clause);
+                }
+                let assumptions: Vec<Lit> = (0..4).map(|_| random_lit(&mut rng, &vars)).collect();
+                let result = s.solve_with(&assumptions);
+                let steps = s.take_proof_steps();
+                hasher.update(&steps);
+                checker.apply_all(&steps).expect("transcript must check");
+                for step in &steps {
+                    if let ProofStep::Delete(lits) = step {
+                        removed_words += clause_words(lits.len(), true);
+                    }
+                }
+                match result {
+                    SolveResult::Sat => {
+                        let model: Vec<bool> = vars.iter().map(|&v| s.value(v).unwrap()).collect();
+                        assert!(
+                            check_model(&cnf, &model),
+                            "round {round}: model violates a clause"
+                        );
+                        assert!(assumptions
+                            .iter()
+                            .all(|&a| s.lit_value_model(a) == Some(true)));
+                    }
+                    SolveResult::Unsat => {
+                        unsat += 1;
+                        let cert = s.unsat_certificate().expect("certificate").to_vec();
+                        checker
+                            .check_certificate(&assumptions, &cert)
+                            .expect("certificate must check");
+                    }
+                    other => panic!("round {round}: {other:?}"),
+                }
+            }
+            assert_eq!(unsat, 5);
+            assert!(
+                s.clauses.wasted() < removed_words,
+                "the arena must have been compacted"
+            );
+            assert_eq!(
+                s.stats(),
+                Stats {
+                    solve_calls: 30,
+                    conflicts: 1829,
+                    decisions: 3331,
+                    propagations: 66718,
+                    restarts: 8,
+                    learnt_clauses: 549,
+                    deleted_clauses: 1275,
+                }
+            );
+            assert_eq!(hasher.finish(), 0x8825_2500_cbf5_5cf0);
         }
     }
 }
