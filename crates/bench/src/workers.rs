@@ -36,6 +36,7 @@ use autocc_journal::ipc::{
     ack_json, job_json, parse_worker_message, request_json, wire_engine, write_frame, FrameReader,
     Polled, WorkerMessage,
 };
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -115,6 +116,12 @@ impl KillLedger {
         let count = kills.entry(key).or_insert(0);
         *count += 1;
         *count
+    }
+
+    /// Whether no worker has been lost yet: an empty ledger quarantines
+    /// nothing, whatever the key.
+    fn is_empty(&self) -> bool {
+        lock_clean(&self.kills).is_empty()
     }
 
     /// Whether `key` has killed enough workers to be quarantined.
@@ -428,14 +435,22 @@ impl ProcEngine {
         cancel: &CancelToken,
     ) -> std::io::Result<EngineRun> {
         let limits = self.pool.limits;
-        let key = content_key(
-            spec.module,
-            &spec.properties,
-            &spec.constraints,
-            config,
-            wire_mode(self.wire),
-        );
-        if self.pool.is_quarantined(key) {
+        // The key blasts the whole miter, so it is computed at most once,
+        // and only when there is a ledger entry to consult or a lost
+        // worker to record.
+        let key_cell = OnceCell::new();
+        let key = || {
+            *key_cell.get_or_init(|| {
+                content_key(
+                    spec.module,
+                    &spec.properties,
+                    &spec.constraints,
+                    config,
+                    wire_mode(self.wire),
+                )
+            })
+        };
+        if !self.pool.ledger.is_empty() && self.pool.is_quarantined(key()) {
             return Ok(self.failure(
                 FailureReason::Quarantined,
                 format!(
@@ -500,7 +515,7 @@ impl ProcEngine {
 
             // The worker was lost: quarantine bookkeeping, then retry or
             // give up.
-            let kill_count = self.pool.ledger.record(key);
+            let kill_count = self.pool.ledger.record(key());
             if kill_count >= limits.quarantine_after {
                 break self.failure(
                     FailureReason::Quarantined,

@@ -35,8 +35,11 @@
 
 pub mod ipc;
 mod journal;
-pub mod json;
 pub mod record;
+
+/// The JSON layer records and wire frames are written in, shared with
+/// the run profile.
+pub use autocc_telemetry::json;
 
 pub use journal::{recover, Journal, JournalError, RecoveredJournal};
 pub use record::{

@@ -19,9 +19,10 @@ use std::time::Duration;
 
 /// A small alphabet that still exercises every string-escaping path:
 /// plain ASCII, the two JSON metacharacters, control characters (written
-/// as `\u` escapes), and multi-byte UTF-8.
+/// as `\u` escapes), and multi-byte UTF-8 of every width (2, 3 and 4
+/// bytes), so copied runs end next to escapes at each width.
 fn arb_string() -> impl Strategy<Value = String> {
-    const ALPHABET: [char; 8] = ['a', 'Z', '_', '"', '\\', '\n', '\u{1}', 'é'];
+    const ALPHABET: [char; 10] = ['a', 'Z', '_', '"', '\\', '\n', '\u{1}', 'é', '€', '𝄞'];
     vec(0usize..ALPHABET.len(), 0..12).prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
 }
 

@@ -16,7 +16,13 @@
 //! [`ProfileRecorder`] is the one real implementation: it captures the span
 //! tree in memory and snapshots it into a versioned JSON [`RunProfile`]
 //! (the `--profile <path>` output of the CLI and report binaries).
+//!
+//! [`json`] is the workspace's one JSON layer; the journal and the worker
+//! wire frames read and write through it too.
 
+#![forbid(unsafe_code)]
+
+pub mod json;
 mod profile;
 
 pub use profile::{

@@ -8,6 +8,7 @@
 //! serialised by hand to JSON — the build environment has no serde — and
 //! re-parsed by [`validate_profile_json`] for schema checks in tests/CI.
 
+use crate::json::{quote, Json};
 use crate::{Recorder, SolverCounters, SpanId, SpanKind};
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -276,7 +277,7 @@ impl RunProfile {
             let _ = writeln!(
                 out,
                 "    {{\"kind\": {}, \"count\": {}, \"total_us\": {}}}{comma}",
-                json_str(k.kind.as_str()),
+                quote(k.kind.as_str()),
                 k.count,
                 k.total_us
             );
@@ -288,7 +289,7 @@ impl RunProfile {
             let _ = writeln!(
                 out,
                 "    {{\"name\": {}, \"count\": {}, \"total_us\": {}, \"conflicts\": {}}}{comma}",
-                json_str(&p.name),
+                quote(&p.name),
                 p.count,
                 p.total_us,
                 p.conflicts
@@ -303,7 +304,7 @@ impl RunProfile {
                 if j > 0 {
                     gauges.push_str(", ");
                 }
-                let _ = write!(gauges, "{}: {v}", json_str(k));
+                let _ = write!(gauges, "{}: {v}", quote(k));
             }
             gauges.push('}');
             let _ = writeln!(
@@ -312,8 +313,8 @@ impl RunProfile {
                  \"start_us\": {}, \"end_us\": {}, \"counters\": {}, \"gauges\": {gauges}}}{comma}",
                 s.id,
                 s.parent,
-                json_str(s.kind.as_str()),
-                json_str(&s.name),
+                quote(s.kind.as_str()),
+                quote(&s.name),
                 s.start_us,
                 s.end_us,
                 counters_json(&s.counters)
@@ -337,255 +338,6 @@ fn counters_json(c: &SolverCounters) -> String {
         c.learnt_clauses,
         c.deleted_clauses
     )
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader — just enough to validate emitted profiles without
-// serde. Numbers are kept as u64 (the schema has no floats/negatives).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, msg: &str) -> String {
-        format!("invalid JSON at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'0'..=b'9') => self.number(),
-            Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
-            Some(b'n') if self.eat_literal("null") => Ok(Json::Null),
-            _ => Err(self.error("expected a value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("bad UTF-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<u64>()
-            .map(Json::Num)
-            .map_err(|_| self.error("number out of range"))
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing content"));
-    }
-    Ok(v)
 }
 
 /// Headline numbers extracted by [`validate_profile_json`].
@@ -618,7 +370,7 @@ const COUNTER_KEYS: [&str; 7] = [
 fn check_counters(v: &Json, what: &str) -> Result<(), String> {
     for key in COUNTER_KEYS {
         v.get(key)
-            .and_then(Json::num)
+            .and_then(Json::as_u64)
             .ok_or_else(|| format!("{what}: missing counter `{key}`"))?;
     }
     Ok(())
@@ -627,10 +379,10 @@ fn check_counters(v: &Json, what: &str) -> Result<(), String> {
 /// Parses and schema-checks a profile document, returning its headline
 /// numbers. Errors name the first violated rule.
 pub fn validate_profile_json(text: &str) -> Result<ProfileSummary, String> {
-    let doc = parse_json(text)?;
+    let doc = Json::parse(text)?;
     let version = doc
         .get("version")
-        .and_then(Json::num)
+        .and_then(Json::as_u64)
         .ok_or("missing `version`")? as u32;
     if version != PROFILE_VERSION {
         return Err(format!(
@@ -639,24 +391,24 @@ pub fn validate_profile_json(text: &str) -> Result<ProfileSummary, String> {
     }
     let wall_us = doc
         .get("wall_us")
-        .and_then(Json::num)
+        .and_then(Json::as_u64)
         .ok_or("missing `wall_us`")?;
     let totals = doc.get("totals").ok_or("missing `totals`")?;
     check_counters(totals, "totals")?;
 
     let phases = doc
         .get("phases")
-        .and_then(Json::array)
+        .and_then(Json::as_arr)
         .ok_or("missing `phases` array")?;
     let mut phase_names = Vec::new();
     for (i, p) in phases.iter().enumerate() {
         let name = p
             .get("name")
-            .and_then(Json::str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("phases[{i}]: missing `name`"))?;
         for key in ["count", "total_us", "conflicts"] {
             p.get(key)
-                .and_then(Json::num)
+                .and_then(Json::as_u64)
                 .ok_or_else(|| format!("phases[{i}]: missing `{key}`"))?;
         }
         phase_names.push(name.to_string());
@@ -664,7 +416,7 @@ pub fn validate_profile_json(text: &str) -> Result<ProfileSummary, String> {
 
     let spans = doc
         .get("spans")
-        .and_then(Json::array)
+        .and_then(Json::as_arr)
         .ok_or("missing `spans` array")?;
     if spans.is_empty() {
         return Err("empty `spans` array (a profile has at least a run span)".to_string());
@@ -672,7 +424,7 @@ pub fn validate_profile_json(text: &str) -> Result<ProfileSummary, String> {
     for (i, s) in spans.iter().enumerate() {
         let id = s
             .get("id")
-            .and_then(Json::num)
+            .and_then(Json::as_u64)
             .ok_or_else(|| format!("spans[{i}]: missing `id`"))?;
         if id != (i + 1) as u64 {
             return Err(format!(
@@ -682,7 +434,7 @@ pub fn validate_profile_json(text: &str) -> Result<ProfileSummary, String> {
         }
         let parent = s
             .get("parent")
-            .and_then(Json::num)
+            .and_then(Json::as_u64)
             .ok_or_else(|| format!("spans[{i}]: missing `parent`"))?;
         if parent >= id {
             return Err(format!(
@@ -691,21 +443,21 @@ pub fn validate_profile_json(text: &str) -> Result<ProfileSummary, String> {
         }
         let kind = s
             .get("kind")
-            .and_then(Json::str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("spans[{i}]: missing `kind`"))?;
         if SpanKind::parse(kind).is_none() {
             return Err(format!("spans[{i}]: unknown kind `{kind}`"));
         }
         s.get("name")
-            .and_then(Json::str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("spans[{i}]: missing `name`"))?;
         let start = s
             .get("start_us")
-            .and_then(Json::num)
+            .and_then(Json::as_u64)
             .ok_or_else(|| format!("spans[{i}]: missing `start_us`"))?;
         let end = s
             .get("end_us")
-            .and_then(Json::num)
+            .and_then(Json::as_u64)
             .ok_or_else(|| format!("spans[{i}]: missing `end_us`"))?;
         if end < start {
             return Err(format!("spans[{i}]: end_us {end} before start_us {start}"));
@@ -720,8 +472,11 @@ pub fn validate_profile_json(text: &str) -> Result<ProfileSummary, String> {
         version,
         span_count: spans.len(),
         wall_us,
-        solve_calls: totals.get("solve_calls").and_then(Json::num).unwrap_or(0),
-        conflicts: totals.get("conflicts").and_then(Json::num).unwrap_or(0),
+        solve_calls: totals
+            .get("solve_calls")
+            .and_then(Json::as_u64)
+            .unwrap_or(0),
+        conflicts: totals.get("conflicts").and_then(Json::as_u64).unwrap_or(0),
         phase_names,
     })
 }
