@@ -5,8 +5,8 @@
 //! certificate hash) degrades the row to FAILED (certification) — it is
 //! never served as a PASS.
 
-use autocc_bench::{run_campaign, CampaignOptions, CampaignTask};
-use autocc_bmc::CheckConfig;
+use autocc_bench::{fix_validation_tasks, run_campaign, CampaignOptions, CampaignTask, Placement};
+use autocc_bmc::{CheckConfig, CheckMode};
 use autocc_core::{format_table_stable, FpvTestbench, FtSpec, RowStatus};
 use autocc_duts::demo::config_device;
 use std::path::{Path, PathBuf};
@@ -179,4 +179,43 @@ fn flipped_journal_certificate_hash_degrades_to_failed_certification() {
         assert!(!row.certificate.is_certified());
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// A certificate is the hash of the DRAT transcript's step kinds and
+/// literals, in order. These were recorded before learnt clauses carried
+/// their chains; any change to what the solver logs, or in which order,
+/// fails here, while a faster check changes nothing.
+#[test]
+fn certificate_hashes_are_pinned() {
+    // `autocc config-device-fixed --prove --certify`.
+    let ft = FtSpec::new(&config_device(true))
+        .flush_done(|b, _ua, _ub| b.input_node("flush").expect("common flush"))
+        .state_equality_invariants()
+        .generate();
+    let config = CheckConfig::default().depth(16).no_timeout().certify(true);
+    let proof = Placement::InProcess.run(&ft, &config, CheckMode::Prove);
+    assert_eq!(proof.certificate.hash(), Some(0x232e_99d6_efba_b4e4));
+
+    // The fix-validation rows at depth 6: two bounded checks and a proof.
+    let config = CheckConfig::default().depth(6).no_timeout().certify(true);
+    let rows = run_campaign(
+        "fix",
+        fix_validation_tasks(),
+        &config,
+        &CampaignOptions::off(),
+    )
+    .expect("campaign without a journal starts")
+    .rows;
+    let pinned: Vec<(&str, Option<u64>)> = rows
+        .iter()
+        .map(|r| (r.id.as_str(), r.certificate.hash()))
+        .collect();
+    assert_eq!(
+        pinned,
+        [
+            ("C1-C3 fixed", Some(0x4327_7556_6562_60ed)),
+            ("M2+M3 fixed", Some(0xf067_6e07_d19b_b17d)),
+            ("A1 refined", Some(0x4e62_86b4_62a8_c0f4)),
+        ]
+    );
 }

@@ -123,10 +123,39 @@ pub fn cex_hash(cex: &Cex) -> u64 {
     h
 }
 
+/// Work done checking UNSAT answers; see [`crate::Bmc::certification_effort`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CertificationEffort {
+    /// Proof steps applied to the checker.
+    pub proof_steps: u64,
+    /// Wall-clock microseconds spent checking.
+    pub check_us: u64,
+    /// Learnt clauses whose chain did not close, so that full propagation
+    /// decided them (0 when every lemma checks by its chain).
+    pub rup_fallbacks: u64,
+}
+
+impl std::ops::Add for CertificationEffort {
+    type Output = CertificationEffort;
+
+    fn add(self, other: CertificationEffort) -> CertificationEffort {
+        CertificationEffort {
+            proof_steps: self.proof_steps + other.proof_steps,
+            check_us: self.check_us + other.check_us,
+            rup_fallbacks: self.rup_fallbacks + other.rup_fallbacks,
+        }
+    }
+}
+
 /// Per-solver certification state: the forward RUP checker tracking the
 /// solver's clause database plus the running transcript hash and check
 /// timing. One instance shadows the BMC base solver, another the
 /// k-induction step solver.
+///
+/// The solver hands each learnt clause to the checker with its chain, so
+/// the checker replays the clause's derivation instead of propagating the
+/// whole database; chains are not hashed, so the transcript hash (the
+/// certificate) is the same with or without them.
 pub(crate) struct UnsatCertifier {
     checker: DratChecker,
     hasher: ProofHasher,
@@ -163,6 +192,7 @@ impl UnsatCertifier {
         self.check_us += start.elapsed().as_micros() as u64;
         span.gauge("proof_steps", self.checker.steps());
         span.gauge("cert_check_us", self.check_us);
+        span.gauge("rup_fallbacks", self.checker.rup_fallbacks());
         span.close();
         result
     }
@@ -188,14 +218,13 @@ impl UnsatCertifier {
         self.hasher.finish()
     }
 
-    /// Total proof steps applied to the checker.
-    pub(crate) fn steps(&self) -> u64 {
-        self.checker.steps()
-    }
-
-    /// Total wall-clock microseconds spent checking.
-    pub(crate) fn check_us(&self) -> u64 {
-        self.check_us
+    /// Total checking work so far.
+    pub(crate) fn effort(&self) -> CertificationEffort {
+        CertificationEffort {
+            proof_steps: self.checker.steps(),
+            check_us: self.check_us,
+            rup_fallbacks: self.checker.rup_fallbacks(),
+        }
     }
 }
 
@@ -252,9 +281,10 @@ mod tests {
         certifier
             .certify_unsat(&mut solver, &[], &telemetry)
             .expect("a genuine UNSAT must certify");
-        assert!(certifier.steps() > 0, "transcript was applied");
+        let effort = certifier.effort();
+        assert!(effort.proof_steps > 0, "transcript was applied");
+        assert_eq!(effort.rup_fallbacks, 0, "every lemma checks by its chain");
         assert_ne!(certifier.transcript_hash(), ProofHasher::new().finish());
-        let _ = certifier.check_us();
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! are returned as input traces and are *replay-validated* against the
 //! word-level interpreter before being reported.
 
-use crate::certify::{CertificateStatus, UnsatCertifier};
+use crate::certify::{CertificateStatus, CertificationEffort, UnsatCertifier};
 use crate::config::{solver_counters, CheckConfig};
 use crate::engine::CancelToken;
 use crate::trace::Trace;
@@ -214,9 +214,8 @@ pub struct Bmc<'m> {
     /// Certificate status of the last `prove` call's induction-step
     /// solver, folded into [`Bmc::prove_certificate`].
     step_cert: CertificateStatus,
-    /// (proof steps, check µs) spent by the last `prove` call's
-    /// induction-step certifier.
-    step_effort: (u64, u64),
+    /// Checking work of the last `prove` call's induction-step certifier.
+    step_effort: CertificationEffort,
 }
 
 impl<'m> Bmc<'m> {
@@ -242,7 +241,7 @@ impl<'m> Bmc<'m> {
             aux_counters: SolverCounters::default(),
             certifier: None,
             step_cert: CertificateStatus::Uncertified,
-            step_effort: (0, 0),
+            step_effort: CertificationEffort::default(),
         }
     }
 
@@ -372,16 +371,13 @@ impl<'m> Bmc<'m> {
         self.certificate().combine(&self.step_cert)
     }
 
-    /// Total proof steps checked and microseconds spent checking, across
-    /// the base and (after `prove`) induction-step certifiers. `None` when
-    /// certification is off.
-    pub fn certification_effort(&self) -> Option<(u64, u64)> {
-        self.certifier.as_ref().map(|c| {
-            (
-                c.steps() + self.step_effort.0,
-                c.check_us() + self.step_effort.1,
-            )
-        })
+    /// Proof steps checked, microseconds spent checking and chain
+    /// fallbacks, across the base and (after `prove`) induction-step
+    /// certifiers. `None` when certification is off.
+    pub fn certification_effort(&self) -> Option<CertificationEffort> {
+        self.certifier
+            .as_ref()
+            .map(|c| c.effort() + self.step_effort)
     }
 
     /// Test-only tamper hook: injects a raw step into the base solver's
@@ -890,11 +886,11 @@ impl InductionStep {
         }
     }
 
-    /// (proof steps, check µs) spent by the step certifier so far.
-    fn certification_effort(&self) -> (u64, u64) {
+    /// Checking work of the step certifier so far.
+    fn certification_effort(&self) -> CertificationEffort {
         self.certifier
             .as_ref()
-            .map_or((0, 0), |c| (c.steps(), c.check_us()))
+            .map_or_else(CertificationEffort::default, UnsatCertifier::effort)
     }
 
     fn keep_state(&self, j: usize) -> bool {

@@ -62,7 +62,7 @@ pub use cache::{
     certificate_digest, config_fingerprint, content_key, content_key_with_seq, CheckMode,
     ContentKey,
 };
-pub use certify::{cex_hash, CertificateStatus};
+pub use certify::{cex_hash, CertificateStatus, CertificationEffort};
 pub use checker::{
     Bmc, BmcStats, Cex, CheckFailure, CheckOutcome, FailureReason, ProveOutcome, StopCause,
 };

@@ -9,6 +9,8 @@ use autocc_bmc::{
 };
 use autocc_hdl::{Bv, Module, ModuleBuilder};
 use autocc_sat::{Lit, ProofStep, Var};
+use autocc_telemetry::{ProfileRecorder, Telemetry};
+use std::sync::Arc;
 
 /// A 3-bit free-running counter with `small = count < limit`.
 fn counter(limit: u64) -> Module {
@@ -33,6 +35,22 @@ fn latch() -> Module {
     let z = b.lit(4, 0);
     let eq = b.eq(r, z);
     b.output("zero", eq);
+    b.build()
+}
+
+/// `assoc = ((a + b) + c == a + (b + c))` over free 10-bit inputs: true
+/// on every cycle, and each depth's UNSAT takes real conflicts.
+fn adder_associativity() -> Module {
+    let mut b = ModuleBuilder::new("assoc");
+    let x = b.input("a", 10);
+    let y = b.input("b", 10);
+    let z = b.input("c", 10);
+    let xy = b.add(x, y);
+    let left = b.add(xy, z);
+    let yz = b.add(y, z);
+    let right = b.add(x, yz);
+    let eq = b.eq(left, right);
+    b.output("assoc", eq);
     b.build()
 }
 
@@ -113,28 +131,69 @@ fn certified_cex_is_the_replayed_trace() {
 
 #[test]
 fn tampered_proof_stream_degrades_to_failed_certification() {
-    let m = counter(8);
-    let mut bmc = Bmc::new(&m);
-    bmc.add_property("small", m.output_node("small").unwrap());
-    let config = CheckConfig::default().depth(2).no_timeout().certify(true);
+    // Inject a clause no resolution chain derives (a unit over a fresh
+    // variable), once with no chain and once with a forged chain naming
+    // real clauses: the next certification pass must reject the transcript
+    // either way.
+    let forged: Vec<u32> = (0..32).collect();
+    for chain in [Vec::new(), forged] {
+        let m = counter(8);
+        let mut bmc = Bmc::new(&m);
+        bmc.add_property("small", m.output_node("small").unwrap());
+        let config = CheckConfig::default().depth(2).no_timeout().certify(true);
+        match bmc.check(&config) {
+            CheckOutcome::BoundReached { depth: 2 } => {}
+            other => panic!("expected certified bound, got {other:?}"),
+        }
+        let lemma = vec![Lit::new(Var::from_index(4000), true)];
+        bmc.inject_proof_step_for_test(ProofStep::Add(lemma, chain.clone()));
+        match bmc.check(&config.clone().depth(4)) {
+            CheckOutcome::Failed(failure) => {
+                assert_eq!(failure.reason, FailureReason::Certification);
+                assert!(
+                    failure.detail.contains("rejected"),
+                    "diagnostic names the rejection: {}",
+                    failure.detail
+                );
+            }
+            other => {
+                panic!("tampered proof (chain {chain:?}) must fail certification, got {other:?}")
+            }
+        }
+    }
+}
+
+#[test]
+fn certified_check_replays_every_lemma_by_its_chain() {
+    let m = adder_associativity();
+    let recorder = Arc::new(ProfileRecorder::new());
+    let mut bmc = Bmc::with_telemetry(&m, Telemetry::root(recorder.clone(), "assoc"));
+    bmc.add_property("assoc", m.output_node("assoc").unwrap());
+    let config = CheckConfig::default().depth(3).no_timeout().certify(true);
     match bmc.check(&config) {
-        CheckOutcome::BoundReached { depth: 2 } => {}
+        CheckOutcome::BoundReached { depth: 3 } => {}
         other => panic!("expected certified bound, got {other:?}"),
     }
-    // Inject a clause no resolution chain derives (a unit over a fresh
-    // variable): the next certification pass must reject the transcript.
-    bmc.inject_proof_step_for_test(ProofStep::Add(vec![Lit::new(Var::from_index(4000), true)]));
-    match bmc.check(&config.clone().depth(4)) {
-        CheckOutcome::Failed(failure) => {
-            assert_eq!(failure.reason, FailureReason::Certification);
-            assert!(
-                failure.detail.contains("rejected"),
-                "diagnostic names the rejection: {}",
-                failure.detail
-            );
-        }
-        other => panic!("tampered proof must fail certification, got {other:?}"),
-    }
+    assert!(bmc.counters().conflicts > 0, "the check must learn clauses");
+    let effort = bmc.certification_effort().expect("certification is on");
+    assert!(effort.proof_steps > 0);
+    assert_eq!(effort.rup_fallbacks, 0, "every lemma checks by its chain");
+    // The certify-unsat spans report the same gauge.
+    let profile = recorder.profile();
+    let fallbacks: Vec<u64> = profile
+        .spans
+        .iter()
+        .filter(|s| s.name == "certify-unsat")
+        .map(|s| {
+            s.gauges
+                .iter()
+                .find(|(k, _)| k == "rup_fallbacks")
+                .map(|&(_, v)| v)
+                .expect("certify-unsat spans carry rup_fallbacks")
+        })
+        .collect();
+    assert!(!fallbacks.is_empty(), "one span per UNSAT solve");
+    assert!(fallbacks.iter().all(|&f| f == 0), "{fallbacks:?}");
 }
 
 #[test]

@@ -2,10 +2,12 @@
 //!
 //! A clause is a header word followed by its literal codes
 //! ([`Lit::code`]). A learnt clause keeps three more words after its
-//! literals: its LBD and the two halves of its `f64` activity. A
-//! [`ClauseRef`] is the offset of the header, so propagation reads a
-//! clause's length and literals from one run of memory instead of chasing
-//! a pointer per clause.
+//! literals: its LBD and the two halves of its `f64` activity. While proof
+//! logging is on, every clause ends with one more word, its proof ID (the
+//! checker's slot for it), flagged in the header; without logging no
+//! clause has that word. A [`ClauseRef`] is the offset of the header, so
+//! propagation reads a clause's length and literals from one run of memory
+//! instead of chasing a pointer per clause.
 //!
 //! Removing a clause only marks its header. [`ClauseDb::compact`] later
 //! slides the live clauses down over the removed ones, keeping their
@@ -19,8 +21,10 @@ use crate::lit::Lit;
 const REMOVED: u32 = 1;
 /// Header bit: the clause was learnt and carries LBD and activity words.
 const LEARNT: u32 = 2;
-/// The literal count sits above the two flag bits.
-const LEN_SHIFT: u32 = 2;
+/// Header bit: the clause's last word is its proof ID.
+const PROOF_ID: u32 = 4;
+/// The literal count sits above the three flag bits.
+const LEN_SHIFT: u32 = 3;
 /// Words a learnt clause keeps after its literals: LBD, then the low and
 /// high halves of its activity.
 const LEARNT_EXTRA: usize = 3;
@@ -29,7 +33,7 @@ const LEARNT_EXTRA: usize = 3;
 const MAX_WORDS: usize = 1 << 31;
 
 /// Handle to a clause in the [`ClauseDb`]: the offset of its header.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) struct ClauseRef(u32);
 
 impl ClauseRef {
@@ -41,13 +45,17 @@ impl ClauseRef {
 
 /// Arena words taken by a clause of `len` literals.
 #[inline]
-pub(crate) fn clause_words(len: usize, learnt: bool) -> usize {
-    1 + len + if learnt { LEARNT_EXTRA } else { 0 }
+pub(crate) fn clause_words(len: usize, learnt: bool, proof_id: bool) -> usize {
+    1 + len + if learnt { LEARNT_EXTRA } else { 0 } + usize::from(proof_id)
 }
 
 #[inline]
 fn header_words(header: u32) -> usize {
-    clause_words((header >> LEN_SHIFT) as usize, header & LEARNT != 0)
+    clause_words(
+        (header >> LEN_SHIFT) as usize,
+        header & LEARNT != 0,
+        header & PROOF_ID != 0,
+    )
 }
 
 /// A watch-list entry: the watched clause and its blocker, another literal
@@ -116,14 +124,21 @@ impl ClauseDb {
     }
 
     /// Appends a clause and returns its handle. A learnt clause starts
-    /// with activity 0.
+    /// with activity 0. A clause given a proof ID keeps it in one more
+    /// word.
     ///
     /// # Panics
     ///
     /// Panics if `lits` has fewer than two literals (unit and empty
     /// clauses are handled directly on the trail by the solver), or if the
     /// clause would not fit the header or the 2^31-word arena.
-    pub(crate) fn insert(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
+    pub(crate) fn insert(
+        &mut self,
+        lits: &[Lit],
+        learnt: bool,
+        lbd: u32,
+        proof_id: Option<u32>,
+    ) -> ClauseRef {
         assert!(lits.len() >= 2, "clauses in the arena must be non-unit");
         assert!(
             lits.len() < 1 << (32 - LEN_SHIFT),
@@ -131,10 +146,13 @@ impl ClauseDb {
         );
         let offset = self.arena.len();
         assert!(
-            offset + clause_words(lits.len(), learnt) <= MAX_WORDS,
+            offset + clause_words(lits.len(), learnt, proof_id.is_some()) <= MAX_WORDS,
             "clause arena full: offsets must stay below 2^31"
         );
-        let flags = if learnt { LEARNT } else { 0 };
+        let mut flags = if learnt { LEARNT } else { 0 };
+        if proof_id.is_some() {
+            flags |= PROOF_ID;
+        }
         self.arena.push((lits.len() as u32) << LEN_SHIFT | flags);
         self.arena.extend(lits.iter().map(|l| l.code() as u32));
         if learnt {
@@ -142,6 +160,7 @@ impl ClauseDb {
             self.arena
                 .extend([lbd, activity as u32, (activity >> 32) as u32]);
         }
+        self.arena.extend(proof_id);
         self.live += 1;
         ClauseRef(offset as u32)
     }
@@ -242,6 +261,13 @@ impl ClauseDb {
         self.arena[at + 1] = (bits >> 32) as u32;
     }
 
+    /// The proof ID of a clause, if it was stored with one.
+    #[inline]
+    pub(crate) fn proof_id(&self, cref: ClauseRef) -> Option<u32> {
+        let header = self.header(cref);
+        (header & PROOF_ID != 0).then(|| self.arena[cref.offset() + header_words(header) - 1])
+    }
+
     /// Handles of the live clauses, in insertion order.
     pub(crate) fn iter_refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
         let mut offset = 0;
@@ -321,11 +347,11 @@ mod tests {
     #[test]
     fn insert_remove_compact_relocates_handles_in_order() {
         let mut db = ClauseDb::new();
-        let a = db.insert(&lits(&[1, 2]), false, 0);
-        let b = db.insert(&lits(&[2, 3, 4]), true, 2);
-        let c = db.insert(&lits(&[-1, 5]), true, 2);
-        let d = db.insert(&lits(&[6, -7, 8]), false, 0);
-        let e = db.insert(&lits(&[9, 10, 11, 12]), true, 3);
+        let a = db.insert(&lits(&[1, 2]), false, 0, None);
+        let b = db.insert(&lits(&[2, 3, 4]), true, 2, None);
+        let c = db.insert(&lits(&[-1, 5]), true, 2, Some(7));
+        let d = db.insert(&lits(&[6, -7, 8]), false, 0, Some(8));
+        let e = db.insert(&lits(&[9, 10, 11, 12]), true, 3, Some(9));
         db.set_activity(e, 2.5);
         assert_eq!(db.len(), 5);
         assert_eq!(db.clause_len(b), 3);
@@ -334,14 +360,17 @@ mod tests {
         db.remove(c);
         assert_eq!(db.len(), 3);
         assert!(db.is_removed(b) && !db.is_removed(d));
-        assert_eq!(db.wasted(), clause_words(3, true) + clause_words(2, true));
+        assert_eq!(
+            db.wasted(),
+            clause_words(3, true, false) + clause_words(2, true, true)
+        );
         assert_eq!(db.iter_refs().collect::<Vec<_>>(), vec![a, d, e]);
 
         let words = db.words();
         let reloc = db.compact();
         assert_eq!(
             db.words(),
-            words - clause_words(3, true) - clause_words(2, true)
+            words - clause_words(3, true, false) - clause_words(2, true, true)
         );
         assert_eq!(db.wasted(), 0);
         let (a2, d2, e2) = (reloc.map(a), reloc.map(d), reloc.map(e));
@@ -350,6 +379,11 @@ mod tests {
         assert_eq!(read(&db, d2), lits(&[6, -7, 8]));
         assert_eq!(read(&db, e2), lits(&[9, 10, 11, 12]));
         assert_eq!((db.lbd(e2), db.activity(e2)), (3, 2.5));
+        assert_eq!(
+            [a2, d2, e2].map(|c| db.proof_id(c)),
+            [None, Some(8), Some(9)],
+            "proof IDs move with their clauses"
+        );
         assert_eq!(db.iter_refs().collect::<Vec<_>>(), vec![a2, d2, e2]);
 
         let w = reloc.watcher(Watcher::new(e, lits(&[9])[0], false));
@@ -362,7 +396,7 @@ mod tests {
     #[should_panic(expected = "dangling")]
     fn dangling_access_panics() {
         let mut db = ClauseDb::new();
-        let a = db.insert(&lits(&[1, 2]), false, 0);
+        let a = db.insert(&lits(&[1, 2]), false, 0, None);
         db.remove(a);
         let _ = db.clause_len(a);
     }

@@ -23,7 +23,9 @@
 //! * DRAT proof logging with a self-contained forward RUP checker, so
 //!   every `Unsat` answer (the paper's PASS verdicts) can be certified
 //!   independently of the search code ([`Solver::enable_proof_logging`],
-//!   [`DratChecker`]).
+//!   [`DratChecker`]). Each learnt clause comes with the chain of clause
+//!   IDs its conflict analysis resolved, and the checker replays that
+//!   chain before falling back to full propagation.
 //! * DIMACS I/O and a brute-force reference solver for differential testing.
 //!
 //! ## Example

@@ -11,6 +11,17 @@
 //! propagation — an independent implementation that shares no search code
 //! with the solver.
 //!
+//! Every `Original` and `Add` step takes the next *proof ID*, in
+//! transcript order: the index of the checker slot that stores it. The
+//! solver records with each learnt clause the IDs of the clauses its
+//! conflict analysis resolved (its *chain*, as in LRAT's hints), and the
+//! checker first replays that chain: unit propagation over exactly those
+//! clauses, in order. A chain that does not close falls back to full
+//! propagation, so a chain can make a check faster but never make the
+//! checker accept a lemma that full propagation would reject. Chains are
+//! not part of the transcript's identity: [`ProofHasher`] and
+//! [`proof_to_bytes`] see step kinds and literals only.
+//!
 //! Unsatisfiability under assumptions is certified the same way: the
 //! solver's failed-assumption core `{a₁,…,aₖ}` yields the certificate
 //! clause `¬a₁ ∨ … ∨ ¬aₖ` (empty for unconditional unsatisfiability),
@@ -30,8 +41,11 @@ pub enum ProofStep {
     /// An input (non-learnt) clause, taken as an axiom by the checker.
     Original(Vec<Lit>),
     /// A learnt clause; must be RUP with respect to the clauses live at
-    /// this point of the transcript.
-    Add(Vec<Lit>),
+    /// this point of the transcript. The second field is its chain: the
+    /// proof IDs of the clauses whose unit propagation, in this order,
+    /// refutes the clause's negation. An empty chain asks for full
+    /// propagation.
+    Add(Vec<Lit>, Vec<u32>),
     /// A clause removed by database reduction; must match a live clause.
     Delete(Vec<Lit>),
 }
@@ -40,7 +54,7 @@ impl ProofStep {
     /// The literals of the clause this step concerns.
     pub fn lits(&self) -> &[Lit] {
         match self {
-            ProofStep::Original(l) | ProofStep::Add(l) | ProofStep::Delete(l) => l,
+            ProofStep::Original(l) | ProofStep::Add(l, _) | ProofStep::Delete(l) => l,
         }
     }
 }
@@ -127,6 +141,8 @@ pub struct DratChecker {
     assigns: Vec<LBool>,
     trail: Vec<Lit>,
     qhead: usize,
+    /// One slot per `Original` and `Add` step, indexed by proof ID; `None`
+    /// once deleted.
     clauses: Vec<Option<CheckedClause>>,
     /// Watch lists indexed by literal code: slots whose clause watches the
     /// *negation* of that literal (same convention as the solver).
@@ -137,6 +153,7 @@ pub struct DratChecker {
     /// on every clause (including the empty certificate) is derivable.
     root_conflict: bool,
     steps: u64,
+    rup_fallbacks: u64,
 }
 
 impl DratChecker {
@@ -156,9 +173,15 @@ impl DratChecker {
         self.root_conflict
     }
 
+    /// Number of `Add` steps whose chain did not close (or was empty), so
+    /// that full propagation decided them.
+    pub fn rup_fallbacks(&self) -> u64 {
+        self.rup_fallbacks
+    }
+
     /// Applies one transcript step. `Original` clauses are axioms; `Add`
-    /// clauses are RUP-checked before insertion; `Delete` must match a
-    /// live clause (by literal set).
+    /// clauses are RUP-checked before insertion, by their chain first;
+    /// `Delete` must match a live clause (by literal set).
     pub fn apply(&mut self, step: &ProofStep) -> Result<(), ProofError> {
         self.steps += 1;
         match step {
@@ -166,13 +189,16 @@ impl DratChecker {
                 self.insert(lits);
                 Ok(())
             }
-            ProofStep::Add(lits) => {
+            ProofStep::Add(lits, chain) => {
                 let canon = canonical(lits);
                 for &l in &canon {
                     self.ensure_var(l.var());
                 }
-                if !self.root_conflict && !self.is_rup(&canon) {
-                    return Err(ProofError::NotRup(canon));
+                if !self.root_conflict && !self.replays(&canon, chain) {
+                    self.rup_fallbacks += 1;
+                    if !self.is_rup(&canon) {
+                        return Err(ProofError::NotRup(canon));
+                    }
                 }
                 self.insert(lits);
                 Ok(())
@@ -238,15 +264,13 @@ impl DratChecker {
         self.trail.push(l);
     }
 
-    /// Inserts a clause into the database (already RUP-checked if needed).
+    /// Inserts a clause into the database (already RUP-checked if needed)
+    /// in the next slot, the empty clause included, so slot indices stay
+    /// the steps' proof IDs.
     fn insert(&mut self, lits: &[Lit]) {
         let canon = canonical(lits);
         for &l in &canon {
             self.ensure_var(l.var());
-        }
-        if canon.is_empty() {
-            self.root_conflict = true;
-            return;
         }
         let key = canon.clone();
         let tautology = canon.windows(2).any(|w| w[0] == !w[1]);
@@ -267,7 +291,8 @@ impl DratChecker {
                 .collect();
             match undef.len() {
                 0 => {
-                    // Every literal false at the root: the empty clause.
+                    // Every literal false at the root (or no literal): the
+                    // empty clause.
                     self.root_conflict = true;
                     self.clauses.push(Some(CheckedClause {
                         lits,
@@ -370,27 +395,76 @@ impl DratChecker {
     /// extension is rolled back before returning, so the persistent root
     /// state is untouched.
     fn is_rup(&mut self, canon: &[Lit]) -> bool {
-        debug_assert_eq!(self.qhead, self.trail.len(), "root propagation at fixpoint");
         let mark = self.trail.len();
-        let mut immediate = false;
+        let conflict = self.assert_negation(canon) || self.propagate();
+        self.backtrack(mark);
+        conflict
+    }
+
+    /// The RUP test by `chain` alone: asserting the negation of `canon`
+    /// and walking the chain must reach a clause with every literal false.
+    /// A chain clause with a true literal is skipped and one with a single
+    /// open literal assigns it. `false` when the walk cannot decide: an ID
+    /// that names no live clause, a clause with two open literals, or a
+    /// chain that ends without a conflict. Every assignment the walk makes
+    /// is a unit propagation over live clauses, so `true` is a RUP
+    /// derivation. Rolled back like [`DratChecker::is_rup`].
+    fn replays(&mut self, canon: &[Lit], chain: &[u32]) -> bool {
+        let mark = self.trail.len();
+        let conflict = self.assert_negation(canon) || self.walk(chain);
+        self.backtrack(mark);
+        conflict
+    }
+
+    /// The chain walk of [`DratChecker::replays`].
+    fn walk(&mut self, chain: &[u32]) -> bool {
+        'chain: for &id in chain {
+            let Some(Some(clause)) = self.clauses.get(id as usize) else {
+                return false;
+            };
+            let mut open = None;
+            let mut opens = 0;
+            for &l in &clause.lits {
+                match self.value(l) {
+                    LBool::True => continue 'chain,
+                    LBool::False => {}
+                    LBool::Undef => {
+                        open = Some(l);
+                        opens += 1;
+                    }
+                }
+            }
+            match open {
+                None => return true,
+                Some(l) if opens == 1 => self.enqueue(l),
+                Some(_) => return false,
+            }
+        }
+        false
+    }
+
+    /// Asserts the negation of every literal of `canon` on top of the root
+    /// assignment, which must be at its fixpoint. `true` when a literal of
+    /// `canon` is already true: asserting its negation conflicts at once.
+    fn assert_negation(&mut self, canon: &[Lit]) -> bool {
+        debug_assert_eq!(self.qhead, self.trail.len(), "root propagation at fixpoint");
         for &l in canon {
             match self.value(l) {
-                // Asserting ¬l against an already-true l conflicts at once.
-                LBool::True => {
-                    immediate = true;
-                    break;
-                }
+                LBool::True => return true,
                 LBool::False => {}
                 LBool::Undef => self.enqueue(!l),
             }
         }
-        let conflict = immediate || self.propagate();
+        false
+    }
+
+    /// Unassigns everything above trail position `mark`.
+    fn backtrack(&mut self, mark: usize) {
         for idx in (mark..self.trail.len()).rev() {
             self.assigns[self.trail[idx].var().index()] = LBool::Undef;
         }
         self.trail.truncate(mark);
         self.qhead = mark;
-        conflict
     }
 }
 
@@ -421,12 +495,14 @@ impl ProofHasher {
         self.0 = self.0.wrapping_mul(Self::PRIME);
     }
 
-    /// Feeds a batch of steps into the hash.
+    /// Feeds a batch of steps into the hash: step kinds and literal codes.
+    /// An `Add` step's chain is not hashed, so a transcript hashes the same
+    /// with or without chains.
     pub fn update(&mut self, steps: &[ProofStep]) {
         for step in steps {
             let tag: u8 = match step {
                 ProofStep::Original(_) => b'o',
-                ProofStep::Add(_) => b'a',
+                ProofStep::Add(..) => b'a',
                 ProofStep::Delete(_) => b'd',
             };
             self.byte(tag);
@@ -455,15 +531,16 @@ pub fn proof_hash(steps: &[ProofStep]) -> u64 {
 
 /// Serializes a transcript as DRAT-style text: one clause per line in
 /// DIMACS literal notation, `0`-terminated. `Add` lines are plain DRAT,
-/// `Delete` lines carry the standard `d` prefix, and `Original` lines use
-/// an `o` prefix (standard DRAT keeps originals in the CNF file; this
-/// format is self-contained so a transcript replays without one).
+/// without their chains, `Delete` lines carry the standard `d` prefix, and
+/// `Original` lines use an `o` prefix (standard DRAT keeps originals in
+/// the CNF file; this format is self-contained so a transcript replays
+/// without one).
 pub fn proof_to_bytes(steps: &[ProofStep]) -> Vec<u8> {
     let mut out = String::new();
     for step in steps {
         match step {
             ProofStep::Original(_) => out.push_str("o "),
-            ProofStep::Add(_) => {}
+            ProofStep::Add(..) => {}
             ProofStep::Delete(_) => out.push_str("d "),
         }
         for l in step.lits() {
@@ -476,7 +553,8 @@ pub fn proof_to_bytes(steps: &[ProofStep]) -> Vec<u8> {
 }
 
 /// Parses the output of [`proof_to_bytes`]. Rejects non-UTF-8 input,
-/// unterminated lines, zero literals, and unknown prefixes.
+/// unterminated lines, zero literals, and unknown prefixes. `Add` steps
+/// come back with empty chains.
 pub fn proof_from_bytes(bytes: &[u8]) -> Result<Vec<ProofStep>, ParseProofError> {
     let text = std::str::from_utf8(bytes).map_err(|_| ParseProofError { line: 1 })?;
     let mut steps = Vec::new();
@@ -516,7 +594,7 @@ pub fn proof_from_bytes(bytes: &[u8]) -> Result<Vec<ProofStep>, ParseProofError>
         steps.push(match kind {
             'o' => ProofStep::Original(lits),
             'd' => ProofStep::Delete(lits),
-            _ => ProofStep::Add(lits),
+            _ => ProofStep::Add(lits, Vec::new()),
         });
     }
     Ok(steps)
@@ -540,10 +618,10 @@ mod tests {
         ck.apply(&ProofStep::Original(clause(&[1, 2]))).unwrap();
         ck.apply(&ProofStep::Original(clause(&[-1, 2]))).unwrap();
         // (2) follows by resolution — RUP.
-        ck.apply(&ProofStep::Add(clause(&[2]))).unwrap();
+        ck.apply(&ProofStep::Add(clause(&[2]), vec![])).unwrap();
         // (3) follows from nothing.
         assert_eq!(
-            ck.apply(&ProofStep::Add(clause(&[3]))),
+            ck.apply(&ProofStep::Add(clause(&[3]), vec![])),
             Err(ProofError::NotRup(clause(&[3])))
         );
     }
@@ -610,7 +688,7 @@ mod tests {
         ck.apply(&ProofStep::Original(clause(&[-1, 2]))).unwrap();
         ck.apply(&ProofStep::Delete(clause(&[-1, 2]))).unwrap();
         assert_eq!(
-            ck.apply(&ProofStep::Add(clause(&[2]))),
+            ck.apply(&ProofStep::Add(clause(&[2]), vec![])),
             Err(ProofError::NotRup(clause(&[2])))
         );
     }
@@ -629,9 +707,9 @@ mod tests {
     fn serialization_round_trips_and_rejects_tampering() {
         let steps = vec![
             ProofStep::Original(clause(&[1, -2, 3])),
-            ProofStep::Add(clause(&[-1, 3])),
+            ProofStep::Add(clause(&[-1, 3]), vec![]),
             ProofStep::Delete(clause(&[1, -2, 3])),
-            ProofStep::Add(vec![]),
+            ProofStep::Add(vec![], vec![]),
         ];
         let bytes = proof_to_bytes(&steps);
         assert_eq!(proof_from_bytes(&bytes).unwrap(), steps);
@@ -645,13 +723,81 @@ mod tests {
 
     #[test]
     fn proof_hash_is_structural_and_order_sensitive() {
-        let a = vec![ProofStep::Add(clause(&[1, 2]))];
-        let b = vec![ProofStep::Add(clause(&[2, 1]))];
+        let a = vec![ProofStep::Add(clause(&[1, 2]), vec![])];
+        let b = vec![ProofStep::Add(clause(&[2, 1]), vec![])];
         let c = vec![ProofStep::Delete(clause(&[1, 2]))];
         assert_ne!(proof_hash(&a), proof_hash(&b), "literal order matters");
         assert_ne!(proof_hash(&a), proof_hash(&c), "step kind matters");
         assert_eq!(proof_hash(&a), proof_hash(&a.clone()), "deterministic");
         assert_ne!(proof_hash(&[]), proof_hash(&a));
+    }
+
+    /// Originals with proof IDs 0-2: (1 ∨ 2), (¬1 ∨ 3), (¬2 ∨ 3). The
+    /// lemma (3) is RUP, and the chain [1, 2, 0] replays it: ¬3 makes
+    /// clauses 1 and 2 unit (¬1, then ¬2), and clause 0 goes all-false.
+    fn diamond() -> DratChecker {
+        let mut ck = DratChecker::new();
+        for c in [&[1, 2][..], &[-1, 3], &[-2, 3]] {
+            ck.apply(&ProofStep::Original(clause(c))).unwrap();
+        }
+        ck
+    }
+
+    #[test]
+    fn a_correct_chain_checks_its_lemma_without_fallback() {
+        let mut ck = diamond();
+        ck.apply(&ProofStep::Add(clause(&[3]), vec![1, 2, 0]))
+            .unwrap();
+        assert_eq!(ck.rup_fallbacks(), 0);
+        // The lemma took slot 3: a later chain can name it.
+        ck.apply(&ProofStep::Original(clause(&[-3, 4]))).unwrap();
+        ck.apply(&ProofStep::Add(clause(&[4]), vec![4, 3])).unwrap();
+        assert_eq!(ck.rup_fallbacks(), 0);
+    }
+
+    #[test]
+    fn broken_chains_fall_back_and_still_accept_a_rup_lemma() {
+        let chains: [&[u32]; 5] = [
+            &[0, 1, 2],  // wrong order: clause 0 has two open literals
+            &[3, 2, 0],  // slot 3 held a copy of clause 1, now deleted
+            &[1, 2, 99], // out of range
+            &[1, 2],     // too short: ends without a conflict
+            &[],         // empty: full propagation by request
+        ];
+        for chain in chains {
+            let mut ck = diamond();
+            ck.apply(&ProofStep::Original(clause(&[-1, 3]))).unwrap();
+            ck.apply(&ProofStep::Delete(clause(&[-1, 3]))).unwrap();
+            ck.apply(&ProofStep::Add(clause(&[3]), chain.to_vec()))
+                .unwrap_or_else(|e| panic!("chain {chain:?}: {e}"));
+            assert_eq!(ck.rup_fallbacks(), 1, "chain {chain:?}");
+        }
+    }
+
+    #[test]
+    fn a_forged_chain_cannot_pass_a_non_rup_lemma() {
+        // (1) does not follow: ¬1 propagates 2, then 3, and stops.
+        for chain in [vec![0], vec![1, 2, 0], vec![0, 2, 1, 0]] {
+            let mut ck = diamond();
+            assert_eq!(
+                ck.apply(&ProofStep::Add(clause(&[1]), chain)),
+                Err(ProofError::NotRup(clause(&[1])))
+            );
+            assert_eq!(ck.rup_fallbacks(), 1);
+        }
+    }
+
+    #[test]
+    fn satisfied_chain_clauses_are_skipped() {
+        let mut ck = diamond();
+        // Slot 3 is the unit (4), slot 4 the root-satisfied (4 ∨ 5).
+        ck.apply(&ProofStep::Original(clause(&[4]))).unwrap();
+        ck.apply(&ProofStep::Original(clause(&[4, 5]))).unwrap();
+        // Slot 4 is true at the root, and slot 1's second visit is true
+        // by the ¬1 its first visit assigned.
+        ck.apply(&ProofStep::Add(clause(&[3]), vec![4, 1, 1, 2, 0]))
+            .unwrap();
+        assert_eq!(ck.rup_fallbacks(), 0);
     }
 
     #[test]

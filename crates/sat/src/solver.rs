@@ -18,6 +18,11 @@
 //! learnt and deleted clauses, models and DRAT transcript. Tests pin the
 //! counters, so a change that alters the search says so and re-pins them.
 //!
+//! While proof logging is on, every stored clause carries its proof ID
+//! (`proof.rs`), and conflict analysis records with each learnt clause the
+//! chain of IDs that replays it. Recording reads the search state and
+//! changes none of it; with logging off no chain is built.
+//!
 //! Solves are interruptible from inside the conflict loop: a wall-clock
 //! [`Solver::set_deadline`] and a pluggable [`Solver::set_interrupt_hook`]
 //! are polled every few conflicts (see [`Solver::set_poll_interval`]) and
@@ -142,6 +147,9 @@ pub struct Solver {
     assigns: Vec<u8>,
     levels: Vec<u32>,
     reasons: Vec<Option<ClauseRef>>,
+    /// Trail position of each assigned variable; orders the chain hints of
+    /// literals removed by minimisation.
+    trail_pos: Vec<u32>,
     saved_phase: Vec<bool>,
 
     trail: Vec<Lit>,
@@ -181,6 +189,9 @@ pub struct Solver {
     /// Logging only appends to this buffer, so search behaviour (and every
     /// statistic) is bit-identical with or without it.
     proof: Option<Vec<ProofStep>>,
+    /// Proof ID of the next `Original` or `Add` step: the number of such
+    /// steps logged so far, which is the checker slot the step will take.
+    next_proof_id: u64,
     /// Certificate clause of the most recent [`SolveResult::Unsat`] answer:
     /// the negation of the failed-assumption core (empty for unconditional
     /// unsatisfiability). `None` after any other answer — in particular a
@@ -205,6 +216,7 @@ impl Solver {
             assigns: Vec::new(),
             levels: Vec::new(),
             reasons: Vec::new(),
+            trail_pos: Vec::new(),
             saved_phase: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
@@ -226,6 +238,7 @@ impl Solver {
             conflicts_since_poll: 0,
             stats: Stats::default(),
             proof: None,
+            next_proof_id: 0,
             last_unsat: None,
         }
     }
@@ -250,8 +263,45 @@ impl Solver {
         if self.proof.is_some() {
             return;
         }
+        // `dump_original` lists the root units, then the stored clauses in
+        // arena order, and each takes the next proof ID. The arena is
+        // rebuilt so every stored clause keeps its ID in its last word.
         let originals = self.dump_original();
+        let units = originals.len() - self.clauses.len();
+        self.next_proof_id = originals.len() as u64;
         self.proof = Some(originals.into_iter().map(ProofStep::Original).collect());
+        let old = std::mem::take(&mut self.clauses);
+        let mut moved = Vec::with_capacity(old.len());
+        for (k, cref) in old.iter_refs().enumerate() {
+            let lits: Vec<Lit> = old.lits(cref).collect();
+            let id = u32::try_from(units + k).ok();
+            moved.push((cref, self.clauses.insert(&lits, false, 0, id)));
+        }
+        let moved_to = |cref: ClauseRef| {
+            moved[moved
+                .binary_search_by_key(&cref, |&(old, _)| old)
+                .expect("every watched or reason clause is live")]
+            .1
+        };
+        for w in self.watches.iter_mut().flatten() {
+            *w = Watcher::new(moved_to(w.cref()), w.blocker, w.is_binary());
+        }
+        for l in &self.trail {
+            if let Some(r) = &mut self.reasons[l.var().index()] {
+                *r = moved_to(*r);
+            }
+        }
+    }
+
+    /// Takes the proof ID of the next `Original` or `Add` step. `None`
+    /// while logging is off, and for every step once the IDs outgrow a
+    /// `u32`: they are never wrapped, and clauses without one get empty
+    /// chains.
+    fn take_proof_id(&mut self) -> Option<u32> {
+        self.proof.as_ref()?;
+        let id = self.next_proof_id;
+        self.next_proof_id += 1;
+        u32::try_from(id).ok()
     }
 
     /// Whether DRAT proof logging is enabled.
@@ -279,10 +329,14 @@ impl Solver {
     }
 
     /// Appends an arbitrary step to the proof transcript (no-op while
-    /// logging is disabled). Test hook for tamper-rejection coverage; never
+    /// logging is disabled). An `Original` or `Add` step takes a proof ID
+    /// like a logged one. Test hook for tamper-rejection coverage; never
     /// called by the solver itself.
     #[doc(hidden)]
     pub fn inject_proof_step(&mut self, step: ProofStep) {
+        if !matches!(step, ProofStep::Delete(_)) {
+            self.take_proof_id();
+        }
         if let Some(buf) = &mut self.proof {
             buf.push(step);
         }
@@ -294,6 +348,7 @@ impl Solver {
         self.assigns.push(UNDEF);
         self.levels.push(0);
         self.reasons.push(None);
+        self.trail_pos.push(0);
         self.saved_phase.push(false);
         self.activity.push(0.0);
         self.seen.push(false);
@@ -440,6 +495,7 @@ impl Solver {
         // Log the deduplicated clause *before* root-level stripping: the
         // checker re-derives the stripped literals' falsity itself, so the
         // stored (stripped) clause propagates identically on its side.
+        let proof_id = self.take_proof_id();
         if let Some(buf) = &mut self.proof {
             buf.push(ProofStep::Original(sorted));
         }
@@ -454,7 +510,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.clauses.insert(&cleaned, false, 0);
+                let cref = self.clauses.insert(&cleaned, false, 0, proof_id);
                 self.attach(cref);
                 true
             }
@@ -480,6 +536,7 @@ impl Solver {
         self.assigns[vi] = (l.code() & 1) as u8;
         self.levels[vi] = self.decision_level() as u32;
         self.reasons[vi] = reason;
+        self.trail_pos[vi] = self.trail.len() as u32;
         self.trail.push(l);
     }
 
@@ -609,8 +666,14 @@ impl Solver {
     }
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, usize) {
+    /// literal first), the backjump level, and, while proof logging is on,
+    /// the clause's chain (see [`Solver::chain`]).
+    fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, usize, Vec<u32>) {
+        let logging = self.proof.is_some();
+        let conflict = confl;
+        // Reasons of the resolved current-level literals, in descending
+        // trail order (logging only).
+        let mut resolved: Vec<ClauseRef> = Vec::new();
         let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder slot
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
@@ -650,6 +713,9 @@ impl Solver {
                 break;
             }
             confl = self.reasons[pl.var().index()].expect("non-decision must have a reason");
+            if logging {
+                resolved.push(confl);
+            }
         }
         learnt[0] = !p.expect("first UIP exists");
 
@@ -661,6 +727,7 @@ impl Solver {
         // stale `seen` bit would silently strengthen future learnt clauses
         // into unsoundness.
         let marked: Vec<Lit> = learnt[1..].to_vec();
+        let mut removed: Vec<Var> = Vec::new();
         let mut j = 1;
         for i in 1..learnt.len() {
             let l = learnt[i];
@@ -675,6 +742,8 @@ impl Solver {
             if !redundant {
                 learnt[j] = l;
                 j += 1;
+            } else if logging {
+                removed.push(l.var());
             }
         }
         learnt.truncate(j);
@@ -682,6 +751,11 @@ impl Solver {
         for &l in &marked {
             self.seen[l.var().index()] = false;
         }
+        let chain = if logging {
+            self.chain(removed, &resolved, conflict)
+        } else {
+            Vec::new()
+        };
 
         // Backjump level: the second-highest decision level in the clause.
         let bt_level = if learnt.len() == 1 {
@@ -696,7 +770,38 @@ impl Solver {
             learnt.swap(1, max_i);
             self.levels[learnt[1].var().index()] as usize
         };
-        (learnt, bt_level)
+        (learnt, bt_level, chain)
+    }
+
+    /// The chain of a learnt clause: the proof IDs of the clauses whose
+    /// unit propagation, in order, refutes the clause's negation on top of
+    /// the root assignment. First the reasons of the literals minimisation
+    /// `removed`, in trail order (their reasons can contain each other's
+    /// literals, and an earlier literal's comes first); then the reasons
+    /// of the `resolved` current-level literals (given in descending trail
+    /// order), in ascending trail order; then the `conflict` clause.
+    /// Root-level literals need no hint: the checker's root assignment
+    /// holds every one of them. Empty when a clause has no proof ID.
+    fn chain(
+        &self,
+        mut removed: Vec<Var>,
+        resolved: &[ClauseRef],
+        conflict: ClauseRef,
+    ) -> Vec<u32> {
+        removed.sort_unstable_by_key(|v| self.trail_pos[v.index()]);
+        let mut chain = Vec::with_capacity(removed.len() + resolved.len() + 1);
+        let reasons = removed
+            .iter()
+            .map(|v| self.reasons[v.index()].expect("removed literals are implied"))
+            .chain(resolved.iter().rev().copied())
+            .chain([conflict]);
+        for r in reasons {
+            match self.clauses.proof_id(r) {
+                Some(id) => chain.push(id),
+                None => return Vec::new(),
+            }
+        }
+        chain
     }
 
     /// Computes the subset of assumptions responsible for falsifying the
@@ -924,8 +1029,8 @@ impl Solver {
                     self.analyze_final_conflict(confl);
                     return SearchOutcome::Unsat;
                 }
-                let (learnt, bt) = self.analyze(confl);
-                self.backjump_and_learn(learnt, bt);
+                let (learnt, bt, chain) = self.analyze(confl);
+                self.backjump_and_learn(learnt, bt, chain);
                 self.var_inc /= VAR_DECAY;
                 self.clause_inc /= CLAUSE_DECAY;
 
@@ -980,11 +1085,12 @@ impl Solver {
         }
     }
 
-    fn backjump_and_learn(&mut self, learnt: Vec<Lit>, bt_level: usize) {
+    fn backjump_and_learn(&mut self, learnt: Vec<Lit>, bt_level: usize, chain: Vec<u32>) {
         // Every learnt clause — including root-level units — is a trivial
         // resolvent of live clauses, hence RUP: log it as a DRAT addition.
+        let proof_id = self.take_proof_id();
         if let Some(buf) = &mut self.proof {
-            buf.push(ProofStep::Add(learnt.clone()));
+            buf.push(ProofStep::Add(learnt.clone(), chain));
         }
         self.cancel_until(bt_level);
         if learnt.len() == 1 {
@@ -992,7 +1098,7 @@ impl Solver {
         } else {
             let lbd = self.lbd(&learnt);
             let asserting = learnt[0];
-            let cref = self.clauses.insert(&learnt, true, lbd);
+            let cref = self.clauses.insert(&learnt, true, lbd, proof_id);
             self.attach(cref);
             self.learnts.push(cref);
             self.stats.learnt_clauses = self.learnts.len() as u64;
@@ -1340,6 +1446,11 @@ mod tests {
             checker
                 .check_certificate(assumptions, &cert)
                 .expect("certificate must check");
+            assert_eq!(
+                checker.rup_fallbacks(),
+                0,
+                "every lemma checks by its chain"
+            );
         }
 
         #[test]
@@ -1485,7 +1596,7 @@ mod tests {
             let b = s.new_var().positive();
             s.add_clause(&[a, b]);
             // A clause no resolution derives: the checker must refuse it.
-            s.inject_proof_step(ProofStep::Add(vec![!b]));
+            s.inject_proof_step(ProofStep::Add(vec![!b], vec![]));
             let steps = s.take_proof_steps();
             let mut checker = DratChecker::new();
             assert!(checker.apply_all(&steps).is_err());
@@ -1550,7 +1661,7 @@ mod tests {
                 checker.apply_all(&steps).expect("transcript must check");
                 for step in &steps {
                     if let ProofStep::Delete(lits) = step {
-                        removed_words += clause_words(lits.len(), true);
+                        removed_words += clause_words(lits.len(), true, true);
                     }
                 }
                 match result {
@@ -1592,6 +1703,90 @@ mod tests {
                 }
             );
             assert_eq!(hasher.finish(), 0x8825_2500_cbf5_5cf0);
+            assert_eq!(
+                checker.rup_fallbacks(),
+                0,
+                "every lemma checks by its chain"
+            );
+        }
+
+        #[test]
+        fn retro_logged_clauses_keep_their_proof_ids_and_the_search() {
+            // (x ∨ y) is stored before (¬x) makes it the reason of the root
+            // literal y; the pigeonhole clauses are stored too. Switching
+            // logging on rebuilds the arena with ID words.
+            let build = || {
+                let mut s = pigeonhole(7);
+                let x = s.new_var().positive();
+                let y = s.new_var().positive();
+                s.add_clause(&[x, y]);
+                s.add_clause(&[!x]);
+                s
+            };
+            let mut plain = build();
+            let mut logged = build();
+            logged.enable_proof_logging();
+            let steps = logged.proof.as_ref().expect("logging on");
+            for cref in logged.clauses.iter_refs() {
+                let id = logged
+                    .clauses
+                    .proof_id(cref)
+                    .expect("stored clauses carry IDs");
+                let logged_lits = steps[id as usize].lits();
+                assert!(logged.clauses.lits(cref).all(|l| logged_lits.contains(&l)));
+            }
+            for (code, list) in logged.watches.iter().enumerate() {
+                for w in list {
+                    let watched: Vec<Lit> = logged.clauses.lits(w.cref()).take(2).collect();
+                    assert!(watched.contains(&!Lit::from_code(code)), "watcher moved");
+                }
+            }
+            let y = logged.trail.last().copied().expect("y is implied");
+            let reason = logged.reasons[y.var().index()].expect("by (x ∨ y)");
+            assert!(logged.clauses.lits(reason).any(|l| l == y), "reason moved");
+
+            assert_eq!(plain.solve(), SolveResult::Unsat);
+            assert_eq!(logged.solve(), SolveResult::Unsat);
+            assert_eq!(plain.stats(), logged.stats());
+            let mut checker = DratChecker::new();
+            certify(&mut logged, &mut checker, &[]);
+        }
+
+        #[test]
+        fn proof_ids_past_u32_are_never_wrapped() {
+            // Numbering that starts past the ID space gives no clause an
+            // ID: every chain comes out empty, and full propagation still
+            // certifies every lemma.
+            let base = pigeonhole(7);
+            let mut s = Solver::new();
+            s.enable_proof_logging();
+            s.next_proof_id = u64::from(u32::MAX) + 1;
+            for _ in 0..base.num_vars() {
+                s.new_var();
+            }
+            for c in base.dump_original() {
+                s.add_clause(&c);
+            }
+            assert!(s
+                .clauses
+                .iter_refs()
+                .all(|c| s.clauses.proof_id(c).is_none()));
+            assert_eq!(s.solve(), SolveResult::Unsat);
+            let steps = s.take_proof_steps();
+            let lemmas = steps
+                .iter()
+                .filter(|step| matches!(step, ProofStep::Add(..)))
+                .count();
+            assert!(lemmas > 0);
+            assert!(steps
+                .iter()
+                .all(|step| !matches!(step, ProofStep::Add(_, chain) if !chain.is_empty())));
+            let mut checker = DratChecker::new();
+            checker.apply_all(&steps).expect("transcript must check");
+            checker
+                .check_certificate(&[], &[])
+                .expect("certificate must check");
+            assert_eq!(checker.rup_fallbacks(), lemmas as u64);
         }
     }
 }

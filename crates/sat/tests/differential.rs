@@ -149,6 +149,7 @@ proptest! {
                 }
             }
         }
+        prop_assert_eq!(checker.rup_fallbacks(), 0, "every lemma checks by its chain");
     }
 
     /// The solver remains correct across repeated incremental calls.

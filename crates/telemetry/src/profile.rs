@@ -383,8 +383,8 @@ pub fn validate_profile_json(text: &str) -> Result<ProfileSummary, String> {
     let version = doc
         .get("version")
         .and_then(Json::as_u64)
-        .ok_or("missing `version`")? as u32;
-    if version != PROFILE_VERSION {
+        .ok_or("missing `version`")?;
+    if version != u64::from(PROFILE_VERSION) {
         return Err(format!(
             "unsupported profile version {version} (expected {PROFILE_VERSION})"
         ));
@@ -469,7 +469,7 @@ pub fn validate_profile_json(text: &str) -> Result<ProfileSummary, String> {
     }
 
     Ok(ProfileSummary {
-        version,
+        version: PROFILE_VERSION,
         span_count: spans.len(),
         wall_us,
         solve_calls: totals
@@ -544,13 +544,17 @@ mod tests {
     fn validator_rejects_schema_violations() {
         assert!(validate_profile_json("not json").is_err());
         assert!(validate_profile_json("{}").unwrap_err().contains("version"));
-        let wrong_version =
-            sample_profile()
-                .to_json()
-                .replacen("\"version\": 1", "\"version\": 999", 1);
-        assert!(validate_profile_json(&wrong_version)
-            .unwrap_err()
-            .contains("version"));
+        // 4294967297 is 2^32 + 1: it must not narrow to version 1.
+        for wrong in ["999", "4294967297"] {
+            let wrong_version = sample_profile().to_json().replacen(
+                "\"version\": 1",
+                &format!("\"version\": {wrong}"),
+                1,
+            );
+            assert!(validate_profile_json(&wrong_version)
+                .unwrap_err()
+                .contains("version"));
+        }
         let bad_parent = r#"{"version": 1, "wall_us": 0,
             "totals": {"solve_calls": 0, "conflicts": 0, "decisions": 0, "propagations": 0,
                        "restarts": 0, "learnt_clauses": 0, "deleted_clauses": 0},
