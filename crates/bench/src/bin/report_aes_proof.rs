@@ -5,13 +5,12 @@ use autocc_bench::{default_options, finish_profile, parse_report_args, run_aes_a
 use autocc_core::{format_duration, AutoCcOutcome};
 
 const USAGE: &str = "usage: report_aes_proof [--jobs N] [--slice on|off]
-                     [--retries N] [--timeout SECS] [--poll-interval N]
+                     [--retries N] [--timeout SECS]
                      [--profile PATH]
   --jobs N          portfolio workers for experiment fan-out (default 1)
   --slice on|off    per-property cone-of-influence slicing (default off)
   --retries N       retry panicked engine jobs up to N times (default 1)
   --timeout SECS    wall-clock budget per check job (degrades to UNKNOWN)
-  --poll-interval N solver conflicts between deadline polls (default 128)
   --profile PATH    write a JSON run profile (span tree + rollups)
 As `report_aes_proof worker --connect HOST:PORT [--backoff-ms N]
 [--backoff-max-ms N] [--max-retries N]`, serves a remote fleet instead.";

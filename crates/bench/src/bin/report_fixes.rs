@@ -7,7 +7,7 @@ use autocc_bench::{
 use autocc_core::{failure_summary, report_exit_code};
 
 const USAGE: &str = "usage: report_fixes [--jobs N] [--slice on|off] [--stable] [--detailed]
-                     [--retries N] [--timeout SECS] [--poll-interval N]
+                     [--retries N] [--timeout SECS]
                      [--depth N] [--profile PATH]
                      [--journal PATH] [--resume | --fresh] [--retry-failed]
                      [--hang-factor N] [--isolate] [--memory-limit-mb N]
@@ -19,7 +19,6 @@ const USAGE: &str = "usage: report_fixes [--jobs N] [--slice on|off] [--stable] 
   --detailed        per-row solver-work columns (solves, conflicts, src)
   --retries N       retry panicked engine jobs up to N times (default 1)
   --timeout SECS    wall-clock budget per check job (degrades to UNKNOWN)
-  --poll-interval N solver conflicts between deadline polls (default 128)
   --depth N         override the default check depth (default 16)
   --profile PATH    write a JSON run profile (span tree + rollups)
   --journal PATH    crash-safe campaign journal (content-addressed cache)

@@ -6,9 +6,8 @@ use autocc_bench::{
 use autocc_core::{certificate_summary, failure_summary, report_exit_code};
 
 const USAGE: &str = "usage: report_table1 [--jobs N] [--slice on|off] [--stable] [--detailed]
-                     [--retries N] [--timeout SECS] [--poll-interval N]
-                     [--granularity monolithic|output|register]
-                     [--cluster-overlap FRACTION]
+                     [--retries N] [--timeout SECS]
+                     [--granularity monolithic|register]
                      [--depth N] [--profile PATH]
                      [--journal PATH] [--resume | --fresh] [--retry-failed]
                      [--hang-factor N] [--isolate] [--memory-limit-mb N]
@@ -17,16 +16,13 @@ const USAGE: &str = "usage: report_table1 [--jobs N] [--slice on|off] [--stable]
                      [--fleet-grace-ms N]
   --jobs N          fan experiments across N portfolio workers (default 1)
   --slice on|off    per-property cone-of-influence slicing (default off)
-  --granularity G   property decomposition: monolithic (default), output
-                    (clustered per-output checks), register (adds per-state
-                    attribution properties naming the leaking signal)
-  --cluster-overlap F  minimum Jaccard cone overlap for two decomposed
-                    properties to share a sliced cluster (default 0.9)
+  --granularity G   property decomposition: monolithic (default) or
+                    register (adds per-state attribution properties naming
+                    the leaking signal, checked in sliced cone clusters)
   --stable          omit the Time column (byte-reproducible output)
   --detailed        per-row solver-work columns (solves, conflicts, src)
   --retries N       retry panicked engine jobs up to N times (default 1)
   --timeout SECS    wall-clock budget per check job (degrades to UNKNOWN)
-  --poll-interval N solver conflicts between deadline polls (default 128)
   --depth N         override the default check depth (default 20)
   --profile PATH    write a JSON run profile (span tree + rollups)
   --journal PATH    crash-safe campaign journal (content-addressed cache)

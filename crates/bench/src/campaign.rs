@@ -3,10 +3,14 @@
 //! check cache.
 //!
 //! Every campaign task builds one [`FpvTestbench`] and runs it in one
-//! mode (bounded check or unbounded proof). With a journal attached
-//! (`--journal`), each completed check is appended — durably, fsync'd —
-//! under its [`content_key`]: a stable hash of the COI-sliced AIG, the
-//! property set, and the deterministic check budgets. A resumed campaign
+//! mode (bounded check or unbounded proof) through [`Campaign::check`],
+//! the one function that serves a check from the journal or runs it live
+//! and appends it; the `autocc` CLI calls it for its single check. With a
+//! journal attached (`--journal`), each completed check — or, for a
+//! decomposed bounded check, each cone cluster — is appended durably,
+//! fsync'd, under its [`content_key`]: a stable hash of the COI-sliced
+//! AIG, the property set, and the deterministic check budgets. A resumed
+//! campaign
 //! (`--resume`) recovers the journal, serves completed checks from it,
 //! and re-runs exactly the ones whose content changed or that were lost
 //! to a torn tail. Cached counterexamples are never trusted blindly:
@@ -17,9 +21,10 @@
 //! A coarse supervisor watchdog sits above the portfolio: a live check
 //! that produces no result within `hang_factor` times its configured
 //! time budget (scaled by the property count, since properties check
-//! serially) is abandoned, journaled as `FAILED (hang)`, and the
-//! campaign continues. On resume such rows are served from the journal
-//! (skipped) unless `--retry-failed` asks for another attempt.
+//! serially; no limit when that overflows) is abandoned, journaled as
+//! `FAILED (hang)`, and the campaign continues. On resume such rows are
+//! served from the journal (skipped) unless `--retry-failed` asks for
+//! another attempt.
 
 use crate::fleet::{Fleet, FleetEngine};
 use crate::workers::{ProcEngine, WorkerLimits, WorkerPool};
@@ -28,7 +33,7 @@ use autocc_bmc::{
     ContentKey, FailureReason, Isolation, JobFailure, Portfolio,
 };
 use autocc_core::{
-    AutoCcOutcome, CheckReport, FpvTestbench, PropertyCluster, PropertyVerdict, TableRow,
+    AutoCcOutcome, CheckReport, ClusterPlan, FpvTestbench, PropertyVerdict, TableRow,
 };
 use autocc_journal::ipc::wire_engine;
 use autocc_journal::{Journal, JournalEntry, JournalError, JournalHeader, JOURNAL_SCHEMA_VERSION};
@@ -38,7 +43,6 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
 
 /// One experiment of a campaign: a testbench builder plus the metadata
 /// that names its table row and telemetry span.
@@ -322,6 +326,15 @@ struct SharedJournal {
     cache: HashMap<ContentKey, JournalEntry>,
 }
 
+/// Where one check's answer is journaled: its content key, the record id
+/// (`V5`, or `V5:<cluster label>` for one cluster of a decomposed check)
+/// and the mode.
+struct Slot {
+    key: ContentKey,
+    id: String,
+    mode: CheckMode,
+}
+
 #[derive(Default)]
 struct Counters {
     cached: AtomicU64,
@@ -344,40 +357,29 @@ impl Counters {
 }
 
 /// Runs a campaign: fans `tasks` across `config.jobs` portfolio workers
-/// (results merge in task order), journaling each completed check when
-/// `options.journal` is set. Fails fast — before any check runs — if the
-/// journal cannot be opened or belongs to a different campaign or
-/// configuration.
+/// (results merge in task order), each task one [`Campaign::check`] at
+/// `jobs 1`, journaling each completed check when `options.journal` is
+/// set. Fails fast — before any check runs — if the journal cannot be
+/// opened or belongs to a different campaign or configuration.
 pub fn run_campaign(
     name: &str,
     tasks: Vec<CampaignTask>,
     config: &CheckConfig,
     options: &CampaignOptions,
 ) -> Result<CampaignOutcome, CampaignError> {
-    let shared = match &options.journal {
-        None => None,
-        Some(path) => Some(open_journal(path, name, config, options)?),
-    };
-    let counters = Counters::default();
-    let placement = Placement::new(config, options);
-
+    let campaign = Campaign::open(name, config, options)?;
     let meta: Vec<(String, String)> = tasks
         .iter()
         .map(|t| (t.id.clone(), t.description.clone()))
         .collect();
-    let jobs = config.jobs;
-    let workers: Vec<Box<dyn FnOnce() -> TableRow + Send + '_>> = tasks
+    let workers: Vec<_> = tasks
         .into_iter()
         .map(|task| {
-            let shared = shared.as_ref();
-            let counters = &counters;
-            let placement = &placement;
-            let worker: Box<dyn FnOnce() -> TableRow + Send + '_> =
-                Box::new(move || run_task(task, config, options, shared, placement, counters));
-            worker
+            let campaign = &campaign;
+            move || campaign.run_task(task, config)
         })
         .collect();
-    let rows: Vec<TableRow> = Portfolio::new(jobs)
+    let rows: Vec<TableRow> = Portfolio::new(config.jobs)
         .try_run(workers)
         .into_iter()
         .zip(meta)
@@ -386,7 +388,7 @@ pub fn run_campaign(
         })
         .collect();
 
-    let stats = counters.snapshot();
+    let stats = campaign.stats();
     if config.telemetry.enabled() {
         config.telemetry.gauge("journal_cache_hits", stats.cached);
         config.telemetry.gauge("journal_live_checks", stats.live);
@@ -416,6 +418,341 @@ pub fn run_campaign(
         }
     }
     Ok(CampaignOutcome { rows, stats })
+}
+
+/// One campaign's shared state: the journal and its recovered cache,
+/// where live checks run, the watchdog knobs, and the counters.
+/// [`Campaign::check`] serves or runs one check; the report binaries call
+/// it once per task through [`run_campaign`], the `autocc` CLI once for
+/// its single check.
+pub struct Campaign {
+    options: CampaignOptions,
+    journal: Option<SharedJournal>,
+    placement: Placement,
+    counters: Counters,
+}
+
+impl Campaign {
+    /// Opens campaign `name` under `config`: the journal, when
+    /// `options.journal` names one, per the `--resume`/`--fresh` policy,
+    /// and the placement of live checks. Fails if the journal cannot be
+    /// opened or belongs to a different campaign or configuration.
+    pub fn open(
+        name: &str,
+        config: &CheckConfig,
+        options: &CampaignOptions,
+    ) -> Result<Campaign, CampaignError> {
+        let journal = match &options.journal {
+            None => None,
+            Some(path) => Some(open_journal(path, name, config, options)?),
+        };
+        Ok(Campaign {
+            options: options.clone(),
+            journal,
+            placement: Placement::new(config, options),
+            counters: Counters::default(),
+        })
+    }
+
+    /// How the checks so far were produced.
+    pub fn stats(&self) -> CampaignStats {
+        self.counters.snapshot()
+    }
+
+    /// Runs one task under its experiment span, at `jobs 1`.
+    fn run_task(&self, task: CampaignTask, config: &CheckConfig) -> TableRow {
+        let span = config.telemetry.child(SpanKind::Experiment, &task.span);
+        let mut scoped = config.clone().jobs(1);
+        scoped.telemetry = span.clone();
+        let ft = Arc::new((task.build)());
+        let (report, served) = self.check(&task.id, &ft, task.mode, task.engine, &scoped);
+        span.close();
+        TableRow::from_report(&task.id, &task.description, &report).cached(served)
+    }
+
+    /// Runs one check of `ft` in `mode` under `config` (`id` names its
+    /// journal records). With a journal, the check is served from it when
+    /// a record answers it, and otherwise runs live under the watchdog and
+    /// is appended. Decomposed bounded checks journal one record per
+    /// cluster, so a resume re-runs only the clusters whose cones
+    /// changed; their clusters run on `config.jobs` workers, in plan
+    /// order. Monolithic checks, proofs and engine overrides (the
+    /// fault-injection seam, whose misbehaviour is part of the check's
+    /// identity) journal one record per check. `engine` overrides the
+    /// placement for bounded checks only. Returns the report and whether
+    /// the journal served all of it.
+    pub fn check(
+        &self,
+        id: &str,
+        ft: &Arc<FpvTestbench>,
+        mode: CheckMode,
+        engine: Option<Arc<dyn CheckEngine + Send + Sync>>,
+        config: &CheckConfig,
+    ) -> (CheckReport, bool) {
+        let engine = engine.filter(|_| mode == CheckMode::Check);
+        if let Some(journal) = &self.journal {
+            if mode == CheckMode::Check && engine.is_none() {
+                if let Some(plan) = ft.cluster_plan(config) {
+                    return self.check_clusters(journal, id, ft, &plan, config);
+                }
+            }
+        }
+        let live = |attempt| {
+            // A bounded check's properties deepen one after another, each
+            // with its own time budget.
+            let serial = match mode {
+                CheckMode::Check => ft.properties().len(),
+                CheckMode::Prove => 1,
+            };
+            let (ft, run_config, placement) =
+                (Arc::clone(ft), config.clone(), self.placement.clone());
+            let solve = move || match engine {
+                Some(engine) => ft.check_portfolio_with(&run_config, &*engine),
+                None => placement.run(&ft, &run_config, mode),
+            };
+            self.run_live(config, attempt, serial, String::new(), Vec::new(), solve)
+        };
+        let Some(journal) = &self.journal else {
+            return (live(1).0, false);
+        };
+        let slot = Slot {
+            key: content_key(ft.miter(), ft.properties(), ft.constraints(), config, mode),
+            id: id.to_string(),
+            mode,
+        };
+        self.serve_or_run(journal, slot, ft, config, live)
+    }
+
+    /// The per-cluster path of [`Campaign::check`]: every cluster of
+    /// `plan` served or run as a record of its own, then merged.
+    fn check_clusters(
+        &self,
+        journal: &SharedJournal,
+        id: &str,
+        ft: &Arc<FpvTestbench>,
+        plan: &ClusterPlan,
+        config: &CheckConfig,
+    ) -> (CheckReport, bool) {
+        let keys = ft.cluster_keys(plan, config, CheckMode::Check);
+        let checks: Vec<_> = plan
+            .clusters
+            .iter()
+            .zip(keys)
+            .map(|(cluster, key)| {
+                let slot = Slot {
+                    key,
+                    id: format!("{id}:{}", cluster.label),
+                    mode: CheckMode::Check,
+                };
+                move || {
+                    let live = |attempt| {
+                        // The members share one solve, but its depth still
+                        // deepens per violation candidate: the hard limit
+                        // scales by member count.
+                        let members: Vec<String> = cluster
+                            .members
+                            .iter()
+                            .map(|&i| ft.properties()[i].0.clone())
+                            .collect();
+                        let scope = format!("cluster {}: ", cluster.label);
+                        let engines = self.placement.engines(CheckMode::Check, 1);
+                        let (ft, cluster, run_config) =
+                            (Arc::clone(ft), cluster.clone(), config.clone());
+                        let solve = move || ft.check_cluster(&cluster, &run_config, &*engines[0]);
+                        self.run_live(config, attempt, members.len(), scope, members, solve)
+                    };
+                    self.serve_or_run(journal, slot, ft, config, live)
+                }
+            })
+            .collect();
+        let results = Portfolio::new(config.jobs).run(checks);
+        let served = results.iter().all(|(_, served)| *served);
+        let reports = results.into_iter().map(|(report, _)| report).collect();
+        (ft.merge_cluster_reports(plan, reports, config), served)
+    }
+
+    /// The journal's serve-and-append policy for one record: the record
+    /// in `slot` serves the check when [`Campaign::serve_cached`] accepts
+    /// it; otherwise `live` runs (given its attempt number) and its report
+    /// is appended under `slot`. Returns the report and whether it was
+    /// served.
+    fn serve_or_run(
+        &self,
+        journal: &SharedJournal,
+        slot: Slot,
+        ft: &FpvTestbench,
+        config: &CheckConfig,
+        live: impl FnOnce(u32) -> (CheckReport, bool),
+    ) -> (CheckReport, bool) {
+        let cached = journal.cache.get(&slot.key);
+        if let Some(report) = self.serve_cached(cached, ft, config) {
+            return (report, true);
+        }
+        let attempt = cached.map_or(1, |e| e.attempt + 1);
+        let (report, hung) = live(attempt);
+        let entry = JournalEntry {
+            key: slot.key,
+            id: slot.id,
+            mode: slot.mode,
+            engine: if hung { "watchdog" } else { "portfolio" }.to_string(),
+            attempt,
+            report,
+        };
+        // An append failure costs only the durability of this record: the
+        // check re-runs on resume.
+        match journal.journal.lock() {
+            Ok(mut handle) => {
+                if let Err(e) = handle.append(&entry) {
+                    eprintln!(
+                        "warning: journal append failed for {}: {e}; \
+                         this check will re-run on resume",
+                        entry.id
+                    );
+                }
+            }
+            Err(_) => eprintln!(
+                "warning: journal poisoned by a panicked worker; \
+                 {} will re-run on resume",
+                entry.id
+            ),
+        }
+        (entry.report, false)
+    }
+
+    /// Decides whether a journaled entry can answer this check. Returns
+    /// the report to serve, or `None` to run live.
+    fn serve_cached(
+        &self,
+        cached: Option<&JournalEntry>,
+        ft: &FpvTestbench,
+        config: &CheckConfig,
+    ) -> Option<CheckReport> {
+        let entry = cached?;
+        let failed = matches!(entry.report.outcome, AutoCcOutcome::Failed { .. });
+        if failed && self.options.retry_failed {
+            return None;
+        }
+        // Under --certify a conclusive verdict must carry a certificate. A
+        // cached row recorded without one (an uncertified campaign's
+        // journal) cannot be served as certified — re-run it live to mint
+        // the proof.
+        let conclusive = matches!(
+            entry.report.outcome,
+            AutoCcOutcome::Cex(_) | AutoCcOutcome::Clean { .. } | AutoCcOutcome::Proved { .. }
+        );
+        if config.certify && conclusive && !entry.report.certificate.is_certified() {
+            self.counters.stale.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let report = match &entry.report.outcome {
+            AutoCcOutcome::Cex(cex) => {
+                // Never trust a cached counterexample: replay-certify it
+                // against the freshly built testbench. A journal edited or
+                // produced by a diverging build re-runs instead of lying.
+                let raw = autocc_bmc::Cex {
+                    property: cex.property.clone(),
+                    depth: cex.depth,
+                    trace: cex.trace.clone(),
+                };
+                match ft.certify_cex(&raw) {
+                    Ok(certified) => CheckReport {
+                        outcome: AutoCcOutcome::Cex(Box::new(certified)),
+                        elapsed: entry.report.elapsed,
+                        stats: entry.report.stats,
+                        verdicts: entry.report.verdicts.clone(),
+                        certificate: entry.report.certificate,
+                    },
+                    Err(failure) => {
+                        eprintln!(
+                            "journal: cached CEX for {} failed certification ({}); re-running",
+                            entry.id, failure.detail
+                        );
+                        self.counters.stale.fetch_add(1, Ordering::Relaxed);
+                        return None;
+                    }
+                }
+            }
+            _ => entry.report.clone(),
+        };
+        // Telemetry marks the row as replayed, not solved.
+        let replay = config.telemetry.child(SpanKind::Phase, "journal-replay");
+        replay.gauge("journal_cached", 1);
+        replay.close();
+        self.counters.cached.fetch_add(1, Ordering::Relaxed);
+        if failed {
+            self.counters.skipped_failed.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(report)
+    }
+
+    /// Runs `solve` live, under the supervisor watchdog when armed: a hard
+    /// limit of `hang_factor` times the time budget, times `serial` (the
+    /// properties that each get the budget in turn). A limit past what a
+    /// `Duration` holds is no limit. The watchdog abandons a wedged solve
+    /// by detaching its thread — a deliberate leak of the testbench it
+    /// holds, traded for letting the campaign proceed. A hang reads FAILED
+    /// (hang), its detail led by `scope` and its verdict map marking
+    /// `members` failed. Returns the report and whether the watchdog
+    /// fired.
+    fn run_live(
+        &self,
+        config: &CheckConfig,
+        attempt: u32,
+        serial: usize,
+        scope: String,
+        members: Vec<String>,
+        solve: impl FnOnce() -> CheckReport + Send + 'static,
+    ) -> (CheckReport, bool) {
+        self.counters.live.fetch_add(1, Ordering::Relaxed);
+        let factor = self.options.hang_factor;
+        let serial = u32::try_from(serial.max(1)).unwrap_or(u32::MAX);
+        let limit = config
+            .time_budget
+            .filter(|_| factor >= 1)
+            .and_then(|budget| budget.checked_mul(factor)?.checked_mul(serial));
+        let Some(limit) = limit else {
+            return (solve(), false);
+        };
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve));
+            let _ = tx.send(result);
+        });
+        match rx.recv_timeout(limit) {
+            Ok(Ok(report)) => return (report, false),
+            // Re-raise on the worker so the portfolio's panic containment
+            // renders the row FAILED exactly as it would without a
+            // watchdog.
+            Ok(Err(payload)) => std::panic::resume_unwind(payload),
+            Err(_) => {}
+        }
+        self.counters.hangs.fetch_add(1, Ordering::Relaxed);
+        let failure = JobFailure {
+            engine: "watchdog".to_string(),
+            property: None,
+            depth: 0,
+            reason: FailureReason::Hang,
+            detail: format!(
+                "{scope}no result within {factor}x the configured time budget \
+                 ({}s hard limit)",
+                limit.as_secs()
+            ),
+            attempts: attempt,
+        };
+        let report = CheckReport {
+            outcome: AutoCcOutcome::Failed {
+                failures: vec![failure],
+            },
+            elapsed: limit,
+            stats: SolverCounters::default(),
+            verdicts: members
+                .into_iter()
+                .map(|name| (name, PropertyVerdict::Failed))
+                .collect(),
+            certificate: CertificateStatus::Uncertified,
+        };
+        (report, true)
+    }
 }
 
 /// Opens the campaign journal per the `--resume`/`--fresh` policy and
@@ -470,395 +807,4 @@ fn open_journal(
         journal: Mutex::new(journal),
         cache,
     })
-}
-
-/// Runs one task under its experiment span: cache lookup, certification,
-/// live run with watchdog, journal append.
-fn run_task(
-    task: CampaignTask,
-    config: &CheckConfig,
-    options: &CampaignOptions,
-    shared: Option<&SharedJournal>,
-    placement: &Placement,
-    counters: &Counters,
-) -> TableRow {
-    let span = config.telemetry.child(SpanKind::Experiment, &task.span);
-    let mut scoped = config.clone().jobs(1);
-    scoped.telemetry = span.clone();
-
-    let CampaignTask {
-        id,
-        description,
-        mode,
-        build,
-        engine,
-        ..
-    } = task;
-    let ft = build();
-    let id = &id;
-    let mode = &mode;
-
-    let row = match shared {
-        None => {
-            counters.live.fetch_add(1, Ordering::Relaxed);
-            let (report, _) = run_live(
-                ft,
-                &scoped,
-                *mode,
-                engine.clone(),
-                placement,
-                options,
-                1,
-                counters,
-            );
-            TableRow::from_report(id, &description, &report)
-        }
-        Some(shared) => {
-            // Decomposed bounded checks journal per cluster, so a resume
-            // re-runs only the clusters whose cones changed. Engine
-            // overrides (the fault-injection seam) keep the task-level
-            // path: their misbehaviour is part of the task's identity.
-            let ft = if *mode == CheckMode::Check && engine.is_none() {
-                match run_task_clustered(
-                    id,
-                    &description,
-                    ft,
-                    &scoped,
-                    options,
-                    shared,
-                    placement,
-                    counters,
-                ) {
-                    Ok(row) => {
-                        span.close();
-                        return row;
-                    }
-                    Err(ft) => *ft,
-                }
-            } else {
-                ft
-            };
-            let key = content_key(
-                ft.miter(),
-                ft.properties(),
-                ft.constraints(),
-                &scoped,
-                *mode,
-            );
-            let cached = shared.cache.get(&key);
-            match serve_cached(cached, &ft, options, &scoped, counters) {
-                Some(report) => TableRow::from_report(id, &description, &report).cached(true),
-                None => {
-                    counters.live.fetch_add(1, Ordering::Relaxed);
-                    let attempt = cached.map_or(1, |e| e.attempt + 1);
-                    let (report, hung) = run_live(
-                        ft,
-                        &scoped,
-                        *mode,
-                        engine.clone(),
-                        placement,
-                        options,
-                        attempt,
-                        counters,
-                    );
-                    let entry = JournalEntry {
-                        key,
-                        id: id.clone(),
-                        mode: *mode,
-                        engine: if hung { "watchdog" } else { "portfolio" }.to_string(),
-                        attempt,
-                        report: report.clone(),
-                    };
-                    append_entry(shared, &entry, id);
-                    TableRow::from_report(id, &description, &report)
-                }
-            }
-        }
-    };
-    span.close();
-    row
-}
-
-/// Appends one record, degrading to a warning (re-run on resume) when
-/// the journal cannot take it.
-fn append_entry(shared: &SharedJournal, entry: &JournalEntry, id: &str) {
-    match shared.journal.lock() {
-        Ok(mut journal) => {
-            if let Err(e) = journal.append(entry) {
-                eprintln!(
-                    "warning: journal append failed for {id}: {e}; \
-                     this check will re-run on resume"
-                );
-            }
-        }
-        Err(_) => eprintln!(
-            "warning: journal poisoned by a panicked worker; \
-             {id} will re-run on resume"
-        ),
-    }
-}
-
-/// Runs a decomposed bounded check with per-cluster journaling: each
-/// cone cluster is served from the cache (CEXs replay-certified first),
-/// or run live under its own watchdog and appended as its own record
-/// keyed by the cluster's content. Returns `Err(ft)` — handing the
-/// testbench back (boxed, so the happy path isn't taxed with the full
-/// struct) for the task-level path — at monolithic granularity.
-#[allow(clippy::too_many_arguments)]
-fn run_task_clustered(
-    id: &str,
-    description: &str,
-    ft: FpvTestbench,
-    scoped: &CheckConfig,
-    options: &CampaignOptions,
-    shared: &SharedJournal,
-    placement: &Placement,
-    counters: &Counters,
-) -> Result<TableRow, Box<FpvTestbench>> {
-    let Some(plan) = ft.cluster_plan(scoped) else {
-        return Err(Box::new(ft));
-    };
-    let keys = ft.cluster_keys(&plan, scoped, CheckMode::Check);
-    // The watchdog abandons a wedged cluster by detaching its thread, so
-    // the solve closure must own the testbench: share it.
-    let ft = Arc::new(ft);
-    let mut reports = Vec::with_capacity(plan.clusters.len());
-    for (cluster, key) in plan.clusters.iter().zip(keys) {
-        let cached = shared.cache.get(&key);
-        if let Some(report) = serve_cached(cached, &ft, options, scoped, counters) {
-            reports.push(report);
-            continue;
-        }
-        counters.live.fetch_add(1, Ordering::Relaxed);
-        let attempt = cached.map_or(1, |e| e.attempt + 1);
-        let (report, hung) =
-            run_cluster_live(&ft, cluster, scoped, placement, options, attempt, counters);
-        let entry = JournalEntry {
-            key,
-            id: format!("{id}:{}", cluster.label),
-            mode: CheckMode::Check,
-            engine: if hung { "watchdog" } else { "portfolio" }.to_string(),
-            attempt,
-            report: report.clone(),
-        };
-        append_entry(shared, &entry, id);
-        reports.push(report);
-    }
-    let report = ft.merge_cluster_reports(&plan, reports, scoped);
-    Ok(TableRow::from_report(id, description, &report))
-}
-
-/// Runs one cluster live, under the supervisor watchdog when armed.
-/// Returns the cluster report and whether the watchdog fired.
-fn run_cluster_live(
-    ft: &Arc<FpvTestbench>,
-    cluster: &PropertyCluster,
-    scoped: &CheckConfig,
-    placement: &Placement,
-    options: &CampaignOptions,
-    attempt: u32,
-    counters: &Counters,
-) -> (CheckReport, bool) {
-    // A cluster's members share one solve, but depth still deepens per
-    // property violation candidate; scale the hard limit by member count
-    // exactly as the task-level watchdog scales by property count.
-    let limit = scoped
-        .time_budget
-        .filter(|_| options.hang_factor >= 1)
-        .map(|budget| budget * options.hang_factor * cluster.members.len().max(1) as u32);
-    let config = scoped.clone();
-    let engines = placement.engines(CheckMode::Check, 1);
-    let ft_run = Arc::clone(ft);
-    let cluster_run = cluster.clone();
-    let solve = move || ft_run.check_cluster(&cluster_run, &config, &*engines[0]);
-    let Some(limit) = limit else {
-        return (solve(), false);
-    };
-    match run_under_watchdog(limit, solve) {
-        Some(report) => (report, false),
-        None => {
-            counters.hangs.fetch_add(1, Ordering::Relaxed);
-            let failure = JobFailure {
-                engine: "watchdog".to_string(),
-                property: None,
-                depth: 0,
-                reason: FailureReason::Hang,
-                detail: format!(
-                    "cluster {}: no result within {}x the configured time budget \
-                     ({}s hard limit)",
-                    cluster.label,
-                    options.hang_factor,
-                    limit.as_secs()
-                ),
-                attempts: attempt,
-            };
-            let verdicts = cluster
-                .members
-                .iter()
-                .map(|&i| (ft.properties()[i].0.clone(), PropertyVerdict::Failed))
-                .collect();
-            let report = CheckReport {
-                outcome: AutoCcOutcome::Failed {
-                    failures: vec![failure],
-                },
-                elapsed: limit,
-                stats: SolverCounters::default(),
-                verdicts,
-                certificate: CertificateStatus::Uncertified,
-            };
-            (report, true)
-        }
-    }
-}
-
-/// Decides whether a journaled entry can answer this check. Returns the
-/// report to serve, or `None` to run live.
-fn serve_cached(
-    cached: Option<&JournalEntry>,
-    ft: &FpvTestbench,
-    options: &CampaignOptions,
-    scoped: &CheckConfig,
-    counters: &Counters,
-) -> Option<CheckReport> {
-    let entry = cached?;
-    let failed = matches!(entry.report.outcome, AutoCcOutcome::Failed { .. });
-    if failed && options.retry_failed {
-        return None;
-    }
-    // Under --certify a conclusive verdict must carry a certificate. A
-    // cached row recorded without one (an uncertified campaign's journal)
-    // cannot be served as certified — re-run it live to mint the proof.
-    let conclusive = matches!(
-        entry.report.outcome,
-        AutoCcOutcome::Cex(_) | AutoCcOutcome::Clean { .. } | AutoCcOutcome::Proved { .. }
-    );
-    if scoped.certify && conclusive && !entry.report.certificate.is_certified() {
-        counters.stale.fetch_add(1, Ordering::Relaxed);
-        return None;
-    }
-    let report = match &entry.report.outcome {
-        AutoCcOutcome::Cex(cex) => {
-            // Never trust a cached counterexample: replay-certify it
-            // against the freshly built testbench. A journal edited or
-            // produced by a diverging build re-runs instead of lying.
-            let raw = autocc_bmc::Cex {
-                property: cex.property.clone(),
-                depth: cex.depth,
-                trace: cex.trace.clone(),
-            };
-            match ft.certify_cex(&raw) {
-                Ok(certified) => CheckReport {
-                    outcome: AutoCcOutcome::Cex(Box::new(certified)),
-                    elapsed: entry.report.elapsed,
-                    stats: entry.report.stats,
-                    verdicts: entry.report.verdicts.clone(),
-                    certificate: entry.report.certificate,
-                },
-                Err(failure) => {
-                    eprintln!(
-                        "journal: cached CEX for {} failed certification ({}); re-running",
-                        entry.id, failure.detail
-                    );
-                    counters.stale.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            }
-        }
-        _ => entry.report.clone(),
-    };
-    // Telemetry marks the row as replayed, not solved.
-    let replay = scoped.telemetry.child(SpanKind::Phase, "journal-replay");
-    replay.gauge("journal_cached", 1);
-    replay.close();
-    counters.cached.fetch_add(1, Ordering::Relaxed);
-    if failed {
-        counters.skipped_failed.fetch_add(1, Ordering::Relaxed);
-    }
-    Some(report)
-}
-
-/// Runs the check live, under the supervisor watchdog when armed.
-/// Returns the report and whether the watchdog fired.
-#[allow(clippy::too_many_arguments)]
-fn run_live(
-    ft: FpvTestbench,
-    scoped: &CheckConfig,
-    mode: CheckMode,
-    engine: Option<Arc<dyn CheckEngine + Send + Sync>>,
-    placement: &Placement,
-    options: &CampaignOptions,
-    attempt: u32,
-    counters: &Counters,
-) -> (CheckReport, bool) {
-    // Bounded checks run their properties serially, each with its own
-    // time budget; the hard limit scales accordingly.
-    let serial_jobs = match mode {
-        CheckMode::Check => ft.properties().len().max(1) as u32,
-        CheckMode::Prove => 1,
-    };
-    let limit = scoped
-        .time_budget
-        .filter(|_| options.hang_factor >= 1)
-        .map(|budget| budget * options.hang_factor * serial_jobs);
-    let config = scoped.clone();
-    let placement = placement.clone();
-    // An explicit engine override (the test seam) wins over the
-    // placement, for bounded checks only.
-    let solve = move || match engine.filter(|_| mode == CheckMode::Check) {
-        Some(engine) => ft.check_portfolio_with(&config, &*engine),
-        None => placement.run(&ft, &config, mode),
-    };
-    let Some(limit) = limit else {
-        return (solve(), false);
-    };
-    match run_under_watchdog(limit, solve) {
-        Some(report) => (report, false),
-        None => {
-            counters.hangs.fetch_add(1, Ordering::Relaxed);
-            let failure = JobFailure {
-                engine: "watchdog".to_string(),
-                property: None,
-                depth: 0,
-                reason: FailureReason::Hang,
-                detail: format!(
-                    "no result within {}x the configured time budget ({}s hard limit)",
-                    options.hang_factor,
-                    limit.as_secs()
-                ),
-                attempts: attempt,
-            };
-            let report = CheckReport {
-                outcome: AutoCcOutcome::Failed {
-                    failures: vec![failure],
-                },
-                elapsed: limit,
-                stats: SolverCounters::default(),
-                verdicts: Vec::new(),
-                certificate: CertificateStatus::Uncertified,
-            };
-            (report, true)
-        }
-    }
-}
-
-/// Runs `solve` on a supervised thread; `None` means the hard limit
-/// elapsed with no result. The abandoned solver thread is detached — it
-/// still holds its testbench, a deliberate leak that trades memory for
-/// letting the rest of the campaign proceed past a wedged solver.
-fn run_under_watchdog(
-    limit: Duration,
-    solve: impl FnOnce() -> CheckReport + Send + 'static,
-) -> Option<CheckReport> {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve));
-        let _ = tx.send(result);
-    });
-    match rx.recv_timeout(limit) {
-        Ok(Ok(report)) => Some(report),
-        // Re-raise on the worker so the portfolio's panic containment
-        // renders the row FAILED exactly as it would without a watchdog.
-        Ok(Err(payload)) => std::panic::resume_unwind(payload),
-        Err(_) => None,
-    }
 }

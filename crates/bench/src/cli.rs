@@ -17,14 +17,10 @@ pub struct ReportArgs {
     pub jobs: usize,
     /// `--slice on|off`: per-property cone-of-influence slicing.
     pub slice: bool,
-    /// `--granularity monolithic|output|register`: property decomposition
-    /// level. `output` checks each output-equality assertion through the
-    /// cone-clustered path; `register` also emits per-arch-state
-    /// attribution properties naming the leaking signal.
+    /// `--granularity monolithic|register`: property decomposition level.
+    /// `register` adds per-state attribution properties naming the
+    /// leaking signal and checks every property in a sliced cone cluster.
     pub granularity: Granularity,
-    /// `--cluster-overlap FRACTION`: minimum Jaccard cone overlap for two
-    /// decomposed properties to share a sliced cluster.
-    pub cluster_overlap: Option<f64>,
     /// `--retries N`: retries for panicked check jobs.
     pub retries: u32,
     /// `--timeout SECS`: wall-clock budget per check job; overrides the
@@ -33,8 +29,6 @@ pub struct ReportArgs {
     /// job's remaining time depend on scheduling order and break the
     /// `jobs`-invariance of the merged outcome.
     pub timeout: Option<Duration>,
-    /// `--poll-interval N`: conflicts between solver deadline/hook polls.
-    pub poll_interval: u64,
     /// `--stable`: omit the Time column so output is byte-reproducible.
     pub stable: bool,
     /// `--detailed`: per-row solver-work columns (solves, conflicts).
@@ -90,10 +84,8 @@ impl Default for ReportArgs {
             jobs: 1,
             slice: false,
             granularity: Granularity::Monolithic,
-            cluster_overlap: None,
             retries: 1,
             timeout: None,
-            poll_interval: 128,
             stable: false,
             detailed: false,
             profile: None,
@@ -121,11 +113,7 @@ impl ReportArgs {
             .jobs(self.jobs)
             .slice(self.slice)
             .granularity(self.granularity)
-            .retries(self.retries)
-            .poll_interval(self.poll_interval);
-        if let Some(overlap) = self.cluster_overlap {
-            config = config.cluster_overlap(overlap);
-        }
+            .retries(self.retries);
         if let Some(t) = self.timeout {
             config = config.timeout(t);
         }
@@ -264,8 +252,8 @@ pub fn finish_profile(sink: &Option<ProfileSink>) {
     }
 }
 
-/// Parses `--jobs N`, `--slice on|off`, `--retries N`, `--timeout SECS`,
-/// `--poll-interval N`, `--profile PATH`, `--depth N`, `--stable`,
+/// Parses `--jobs N`, `--slice on|off`, `--granularity G`, `--retries N`,
+/// `--timeout SECS`, `--profile PATH`, `--depth N`, `--stable`,
 /// `--detailed`, the journal flags (`--journal PATH`, `--resume`,
 /// `--fresh`, `--retry-failed`, `--hang-factor N`), the isolation
 /// flags (`--isolate`, `--memory-limit-mb N`, `--worker-heartbeat-ms N`),
@@ -317,19 +305,7 @@ pub fn parse_flags(
                     .next()
                     .as_deref()
                     .and_then(Granularity::parse)
-                    .unwrap_or_else(|| {
-                        die(usage, "--granularity needs monolithic, output, or register")
-                    });
-            }
-            "--cluster-overlap" => {
-                parsed.cluster_overlap = Some(
-                    args.next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|f| f.is_finite() && (0.0..=1.0).contains(f))
-                        .unwrap_or_else(|| {
-                            die(usage, "--cluster-overlap needs a fraction in [0, 1]")
-                        }),
-                );
+                    .unwrap_or_else(|| die(usage, "--granularity needs monolithic or register"));
             }
             "--retries" => {
                 parsed.retries = args
@@ -344,13 +320,6 @@ pub fn parse_flags(
                     .filter(|&s| s >= 1)
                     .unwrap_or_else(|| die(usage, "--timeout needs a positive number of seconds"));
                 parsed.timeout = Some(Duration::from_secs(secs));
-            }
-            "--poll-interval" => {
-                parsed.poll_interval = args
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|&p| p >= 1)
-                    .unwrap_or_else(|| die(usage, "--poll-interval needs a positive integer"));
             }
             "--profile" => {
                 parsed.profile =
@@ -459,7 +428,6 @@ mod tests {
         assert!(!a.stable);
         assert_eq!(a.retries, 1);
         assert!(a.timeout.is_none());
-        assert_eq!(a.poll_interval, 128);
         assert!(a.profile.is_none());
     }
 
@@ -475,8 +443,6 @@ mod tests {
             "3",
             "--timeout",
             "600",
-            "--poll-interval",
-            "32",
             "--profile",
             "out.json",
         ]);
@@ -485,7 +451,6 @@ mod tests {
         assert!(a.stable);
         assert_eq!(a.retries, 3);
         assert_eq!(a.timeout, Some(Duration::from_secs(600)));
-        assert_eq!(a.poll_interval, 32);
         assert_eq!(a.profile.as_deref(), Some(Path::new("out.json")));
     }
 
@@ -543,20 +508,13 @@ mod tests {
     fn granularity_flags_parse_and_configure() {
         let a = parse(&[]);
         assert_eq!(a.granularity, Granularity::Monolithic);
-        assert!(a.cluster_overlap.is_none());
         let c = a.configure(CheckConfig::default());
         assert_eq!(c.granularity, Granularity::Monolithic);
 
-        let a = parse(&["--granularity", "register", "--cluster-overlap", "0.75"]);
+        let a = parse(&["--granularity", "register"]);
         assert_eq!(a.granularity, Granularity::Register);
         let c = a.configure(CheckConfig::default());
         assert_eq!(c.granularity, Granularity::Register);
-        assert!((c.cluster_overlap - 0.75).abs() < 1e-9);
-
-        let a = parse(&["--granularity", "output"]);
-        let c = a.configure(CheckConfig::default());
-        assert_eq!(c.granularity, Granularity::Output);
-        assert!((c.cluster_overlap - 0.9).abs() < 1e-9, "default overlap");
     }
 
     #[test]
@@ -604,13 +562,12 @@ mod tests {
 
     #[test]
     fn configure_applies_every_knob() {
-        let mut a = parse(&["--jobs", "2", "--slice", "on", "--poll-interval", "16"]);
+        let mut a = parse(&["--jobs", "2", "--slice", "on"]);
         a.timeout = Some(Duration::from_secs(7));
         let c = a.configure(CheckConfig::default().depth(20));
         assert_eq!(c.max_depth, 20);
         assert_eq!(c.jobs, 2);
         assert!(c.slice);
-        assert_eq!(c.poll_interval, 16);
         assert_eq!(c.time_budget, Some(Duration::from_secs(7)));
         assert!(!c.telemetry.enabled(), "no --profile, no telemetry");
     }

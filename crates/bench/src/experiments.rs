@@ -133,7 +133,7 @@ pub fn run_vscale_stage(stage: &VscaleStage, config: &CheckConfig) -> CheckRepor
     with_experiment(config, &format!("vscale:{}", stage.id), |config| {
         let ft = vscale_stage_testbench(stage);
         if stage.level >= 4 {
-            ft.prove_portfolio(config)
+            ft.prove(config)
         } else {
             ft.check_portfolio(config)
         }
@@ -378,7 +378,7 @@ pub fn run_aes_a1(check: &CheckConfig) -> CheckReport {
 /// condition plus the Sec.-4.4 strengthening invariants.
 pub fn run_aes_proof(check: &CheckConfig) -> CheckReport {
     with_experiment(check, "aes-proof", |check| {
-        aes_proof_testbench().prove_portfolio(check)
+        aes_proof_testbench().prove(check)
     })
 }
 

@@ -586,7 +586,8 @@ impl Fleet {
         lease: Duration,
     ) -> bool {
         let key = lock_clean(job).key;
-        let lease_deadline = Instant::now() + lease;
+        // A lease past what an `Instant` can represent never expires.
+        let lease_deadline = Instant::now().checked_add(lease);
         // `leased` drops to false once the lease expires: the job has
         // been requeued, but the connection keeps draining so a late
         // result is recognized (and dropped) instead of desynchronizing
@@ -596,7 +597,7 @@ impl Fleet {
             if self.is_shutdown() {
                 return true;
             }
-            if leased && Instant::now() >= lease_deadline {
+            if leased && lease_deadline.is_some_and(|d| Instant::now() >= d) {
                 // Lease expiry is not a kill: the worker may be honestly
                 // slow. The job is re-dispatched; this connection keeps
                 // draining.

@@ -15,8 +15,8 @@ pub mod experiments;
 pub mod fleet;
 pub mod workers;
 pub use campaign::{
-    run_campaign, CampaignError, CampaignOptions, CampaignOutcome, CampaignStats, CampaignTask,
-    Placement,
+    run_campaign, Campaign, CampaignError, CampaignOptions, CampaignOutcome, CampaignStats,
+    CampaignTask, Placement,
 };
 pub use cli::{
     finish_fleet, finish_profile, parse_flags, parse_report_args, ProfileSink, ReportArgs,

@@ -9,9 +9,9 @@ use autocc_bench::{
 };
 use autocc_bmc::{
     BmcEngine, CancelToken, Cex, CheckConfig, CheckEngine, CheckSpec, EngineOutcome, EngineRun,
-    FailureReason, Trace, UnknownCause,
+    FailureReason, Granularity, Trace, UnknownCause,
 };
-use autocc_core::{report_exit_code, AutoCcOutcome, FtSpec, RowStatus};
+use autocc_core::{report_exit_code, AutoCcOutcome, FtSpec, PropertyVerdict, RowStatus};
 use autocc_duts::aes::{build_aes, AesConfig};
 use autocc_duts::demo::config_device;
 use autocc_hdl::{Bv, Module, ModuleBuilder};
@@ -112,6 +112,44 @@ impl CheckEngine for CorruptCexEngine {
         })
         .into()
     }
+}
+
+/// Fabricates a counterexample, as [`CorruptCexEngine`] does, for every
+/// job whose first property is `property`; real BMC everywhere else.
+struct FabricatesFor {
+    property: String,
+}
+
+impl CheckEngine for FabricatesFor {
+    fn name(&self) -> &'static str {
+        "fabricates-for"
+    }
+
+    fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
+        if spec.properties[0].0 == self.property {
+            CorruptCexEngine.check(spec, config, cancel)
+        } else {
+            BmcEngine.check(spec, config, cancel)
+        }
+    }
+}
+
+/// Two outputs that both read the leaky config register, so each of the
+/// two properties has a genuine counterexample at the same depth.
+fn two_leak_device() -> Module {
+    let mut b = ModuleBuilder::new("two_leak");
+    let we = b.input("we", 1);
+    let re = b.input("re", 1);
+    let data = b.input("data", 8);
+    let cfg = b.reg("cfg", 8, Bv::zero(8));
+    let next = b.mux(we, data, cfg);
+    b.set_next(cfg, next);
+    let zero = b.lit(8, 0);
+    let q = b.mux(re, cfg, zero);
+    let q2 = b.mux(re, cfg, zero);
+    b.output("q", q);
+    b.output("q2", q2);
+    b.build()
 }
 
 /// A combinational two-output pass-through: outputs depend only on the
@@ -221,6 +259,52 @@ fn corrupt_cex_is_rejected_by_replay_certification() {
             assert_eq!(f.property.as_deref(), Some("as__q_eq"));
         }
         other => panic!("a fabricated CEX must never be reported, got {other:?}"),
+    }
+    // A CEX that failed replay claims nothing in the verdict map either.
+    assert!(!report.verdicts.is_empty());
+    for (name, verdict) in &report.verdicts {
+        assert_eq!(*verdict, PropertyVerdict::Failed, "{name}");
+    }
+}
+
+/// One property's fabricated CEX fails replay; the other property's CEX is
+/// genuine. Every job's CEX is replayed on its own, so the row reports the
+/// genuine one — at monolithic granularity as at register granularity —
+/// and the fabricated one only marks its own property failed.
+#[test]
+fn a_rejected_cex_beside_a_genuine_one_reports_the_genuine_one() {
+    let dut = two_leak_device();
+    let engine = FabricatesFor {
+        property: "as__q_eq".to_string(),
+    };
+    for granularity in [Granularity::Monolithic, Granularity::Register] {
+        let ft = FtSpec::new(&dut).granularity(granularity).generate();
+        let config = options(12).granularity(granularity);
+        let report = ft.check_portfolio_with(&config, &engine);
+        let cex = report.outcome.cex().unwrap_or_else(|| {
+            panic!(
+                "{granularity}: the genuine CEX must be reported, got {:?}",
+                report.outcome
+            )
+        });
+        assert_eq!((cex.property.as_str(), cex.depth), ("as__q2_eq", 7));
+        let verdict = |name: &str| {
+            report
+                .verdicts
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| *v)
+        };
+        assert_eq!(
+            verdict("as__q_eq"),
+            Some(PropertyVerdict::Failed),
+            "{granularity}"
+        );
+        assert_eq!(
+            verdict("as__q2_eq"),
+            Some(PropertyVerdict::Cex { depth: 7 }),
+            "{granularity}"
+        );
     }
 }
 

@@ -6,7 +6,8 @@
 
 use autocc_bench::{run_campaign, CampaignError, CampaignOptions, CampaignTask};
 use autocc_bmc::{
-    BmcEngine, CancelToken, CheckConfig, CheckEngine, CheckSpec, EngineRun, FailureReason, Trace,
+    BmcEngine, CancelToken, CheckConfig, CheckEngine, CheckSpec, EngineRun, FailureReason,
+    Granularity, Trace,
 };
 use autocc_core::{AutoCcOutcome, CovertChannelCex, FpvTestbench, FtSpec, RowStatus};
 use autocc_duts::demo::config_device;
@@ -302,5 +303,43 @@ fn watchdog_journals_hangs_and_resume_skips_them() {
     );
     let healed = recover(&std::fs::read(&path).unwrap()).unwrap();
     assert_eq!(healed.entries.last().unwrap().attempt, 2);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A time budget so large that the watchdog's hard limit (budget x
+/// hang factor x properties) overflows a `Duration` means no hard limit:
+/// every row still gets its answer, task by task and cluster by cluster.
+#[test]
+fn a_huge_time_budget_disarms_the_watchdog() {
+    let huge = Duration::from_secs(u64::MAX);
+    let plain = run_campaign(
+        "demo",
+        two_tasks(),
+        &config().timeout(huge),
+        &CampaignOptions::off(),
+    )
+    .unwrap();
+    assert!(plain.rows.iter().all(|r| r.status == RowStatus::Ok));
+    assert!(plain.rows[0].outcome.starts_with("CEX"));
+
+    let path = tmp_journal("huge-budget");
+    let register = || {
+        let build = || {
+            FtSpec::new(&config_device(false))
+                .granularity(Granularity::Register)
+                .generate()
+        };
+        vec![CampaignTask::check(
+            "D1",
+            "leaky register",
+            "demo:D1",
+            build,
+        )]
+    };
+    let config = config().timeout(huge).granularity(Granularity::Register);
+    let clustered = run_campaign("demo", register(), &config, &journaled(&path)).unwrap();
+    assert_eq!(clustered.rows[0].status, RowStatus::Ok);
+    assert!(clustered.rows[0].outcome.starts_with("CEX"));
+    assert_eq!(clustered.stats.hangs, 0);
     let _ = std::fs::remove_file(&path);
 }

@@ -24,7 +24,8 @@
 //! builds, platforms and runs, which is the whole point of writing them to
 //! a journal.
 
-use crate::config::CheckConfig;
+use crate::config::{CheckConfig, CLUSTER_OVERLAP};
+use crate::portfolio::RetryPolicy;
 use autocc_aig::{sequential_coi, AigLit, AigNode, SeqAig};
 use autocc_hdl::{Module, NodeId};
 use std::fmt;
@@ -34,7 +35,7 @@ use std::fmt;
 pub enum CheckMode {
     /// Bounded covert-channel search (`check_portfolio`).
     Check,
-    /// Unbounded proof attempt (`prove_portfolio`).
+    /// Unbounded proof attempt (`prove`).
     Prove,
 }
 
@@ -135,8 +136,8 @@ fn lit_u64(l: AigLit) -> u64 {
 /// journal: even fields that do not enter [`content_key`] (time budgets,
 /// retries, slicing) change which *degraded* outcomes a campaign can
 /// legitimately record, so resuming under a different configuration would
-/// mix regimes. Scheduling-only knobs (`jobs`, `poll_interval`) are
-/// excluded — the portfolio merge is jobs-invariant by construction.
+/// mix regimes. The scheduling-only `jobs` is excluded — the portfolio
+/// merge is jobs-invariant by construction.
 /// Process-isolation knobs (`isolation`, `memory_limit_mb`,
 /// `heartbeat_ms`) are likewise excluded: an isolated worker runs the
 /// identical deterministic solve, so a journal written in-process resumes
@@ -148,15 +149,20 @@ pub fn config_fingerprint(config: &CheckConfig) -> u64 {
     h.str("autocc-config-fingerprint-v2");
     h.u64(config.max_depth as u64);
     h.opt_u64(config.conflict_budget);
-    h.opt_u64(config.time_budget.map(|d| d.as_micros() as u64));
+    h.opt_u64(
+        config
+            .time_budget
+            .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX)),
+    );
     h.u64(u64::from(config.slice));
     h.u64(u64::from(config.retries));
-    h.u64(u64::from(config.retry_escalation));
+    // The retry escalation and the cluster overlap are constants now;
+    // hashing them still keeps journals from earlier builds (which made
+    // them settable) resumable. Milli-units: f64 bit patterns are not a
+    // stable identity.
+    h.u64(u64::from(RetryPolicy::default().escalation));
     h.str(config.granularity.as_str());
-    // The overlap threshold only matters on the decomposed path, but
-    // hashing it unconditionally keeps the fingerprint a pure function of
-    // the config. Milli-units: f64 bit patterns are not a stable identity.
-    h.u64((config.cluster_overlap * 1000.0).round() as u64);
+    h.u64((CLUSTER_OVERLAP * 1000.0).round() as u64);
     h.finish()
 }
 
@@ -371,9 +377,8 @@ mod tests {
                     .jobs(8)
                     .slice(true)
                     .retries(5)
-                    .poll_interval(1)
             ),
-            "timeout/jobs/slice/retries/poll must not enter the key"
+            "timeout/jobs/slice/retries must not enter the key"
         );
     }
 
@@ -382,11 +387,6 @@ mod tests {
         let base = CheckConfig::default().depth(8);
         let f = config_fingerprint(&base);
         assert_eq!(f, config_fingerprint(&base.clone().jobs(16)), "jobs");
-        assert_eq!(
-            f,
-            config_fingerprint(&base.clone().poll_interval(1)),
-            "poll interval"
-        );
         assert_ne!(f, config_fingerprint(&base.clone().depth(9)));
         assert_ne!(
             f,
@@ -405,10 +405,30 @@ mod tests {
             config_fingerprint(&base.clone().granularity(Granularity::Register)),
             "granularity changes which rows a journal can hold"
         );
-        assert_ne!(
-            f,
-            config_fingerprint(&base.clone().cluster_overlap(0.5)),
-            "overlap moves cluster boundaries and thus recorded shapes"
+    }
+
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        use crate::config::Granularity;
+        // Journals pin these in their header: a drift would refuse to
+        // resume every journal written before it.
+        let base = CheckConfig::default().depth(8);
+        assert_eq!(config_fingerprint(&base), 0xceba_5b36_d157_63f5);
+        assert_eq!(
+            config_fingerprint(&base.granularity(Granularity::Register)),
+            0xab6e_7a20_1287_c376
+        );
+    }
+
+    #[test]
+    fn fingerprint_of_a_huge_time_budget_saturates() {
+        let base = CheckConfig::default().depth(8);
+        let huge = config_fingerprint(&base.clone().timeout(Duration::from_secs(u64::MAX)));
+        // A budget past `u64::MAX` µs would wrap when narrowed; it
+        // saturates onto the largest representable one instead.
+        assert_eq!(
+            huge,
+            config_fingerprint(&base.clone().timeout(Duration::from_micros(u64::MAX)))
         );
     }
 

@@ -218,6 +218,13 @@ pub struct Bmc<'m> {
     step_effort: CertificationEffort,
 }
 
+/// The in-solver deadline of a run started at `start`: none without a
+/// time budget, and none when the budget reaches past what an [`Instant`]
+/// can represent (a budget that large is no limit).
+fn deadline(start: Instant, config: &CheckConfig) -> Option<Instant> {
+    config.time_budget.and_then(|tb| start.checked_add(tb))
+}
+
 impl<'m> Bmc<'m> {
     /// Creates a checker for `module`. Constraints and properties must be
     /// added before the first [`Bmc::check`] call.
@@ -513,9 +520,7 @@ impl<'m> Bmc<'m> {
         // Budgets are enforced *inside* the solver: the deadline and the
         // cancellation hook are polled every few conflicts, so a single
         // pathological SAT call cannot run past its wall-clock budget.
-        self.solver.set_poll_interval(config.poll_interval);
-        self.solver
-            .set_deadline(config.time_budget.map(|tb| start + tb));
+        self.solver.set_deadline(deadline(start, config));
         let token = self.cancel.clone();
         self.solver
             .set_interrupt_hook(Some(Box::new(move || token.is_cancelled())));
@@ -709,9 +714,8 @@ impl<'m> Bmc<'m> {
         );
         span.close();
         induction.configure_run(
-            config.time_budget.map(|tb| start + tb),
+            deadline(start, config),
             self.cancel.clone(),
-            config.poll_interval,
             self.telemetry.clone(),
             config.certify,
         );
@@ -854,16 +858,14 @@ impl InductionStep {
 
     /// Installs the wall-clock deadline and cancellation hook on the step
     /// solver (so the step case is interruptible mid-solve like the base),
-    /// plus the poll interval and telemetry handle of the run.
+    /// plus the telemetry handle of the run.
     fn configure_run(
         &mut self,
         deadline: Option<Instant>,
         cancel: CancelToken,
-        poll_interval: u64,
         telemetry: Telemetry,
         certify: bool,
     ) {
-        self.solver.set_poll_interval(poll_interval);
         self.solver.set_deadline(deadline);
         self.solver
             .set_interrupt_hook(Some(Box::new(move || cancel.is_cancelled())));

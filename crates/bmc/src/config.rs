@@ -2,8 +2,8 @@
 //!
 //! [`CheckConfig`] is the one knob surface for the whole check pipeline:
 //! checker budgets (depth, conflicts, wall clock), engine switches
-//! (slicing), scheduler shape (worker count, retry policy), solver tuning
-//! (poll interval) and the telemetry handle, behind a single builder:
+//! (slicing), scheduler shape (worker count, retries) and the telemetry
+//! handle, behind a single builder:
 //!
 //! ```
 //! use autocc_bmc::CheckConfig;
@@ -55,27 +55,29 @@ pub enum Isolation {
     Subprocess,
 }
 
+/// Jaccard overlap (`0.0 ..= 1.0`) of two attribution properties'
+/// sequential cones at or above which they share a cluster.
+pub const CLUSTER_OVERLAP: f64 = 0.9;
+
 /// How finely the FT miter's equality obligation is decomposed into
 /// individual properties.
 ///
 /// Decomposition never changes the paper-table verdict: the Listing-1
-/// monitor assertions are checked under identical semantics at every
-/// granularity. What finer granularities add is *attribution* — extra
+/// monitor assertions are checked under identical semantics at either
+/// granularity. What the finer one adds is *attribution* — extra
 /// per-state-element properties with small cones — and a clustered,
-/// per-cone-sliced check path.
+/// per-cone-sliced plan journaled one record per cluster.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Granularity {
-    /// The legacy path: the monitor's per-output assertions checked as
-    /// one flat property list, each job encoding the full miter cone.
+    /// The monitor's per-output assertions, one job per assertion, each
+    /// encoding the full miter cone unless `slice` is on.
     #[default]
     Monolithic,
-    /// The same property set, but routed through cone clustering: each
-    /// cluster of overlapping-cone properties is sliced and bit-blasted
-    /// once and cached under its own content key.
-    Output,
     /// Additionally emit one equality property per DUT register and per
-    /// memory word (`st__*` attribution properties), clustered and
-    /// sliced the same way. Verdicts then name the leaking state element.
+    /// memory word (`st__*` attribution properties); every property is
+    /// checked in a cone cluster that is sliced and bit-blasted once and
+    /// cached under its own content key. Verdicts then name the leaking
+    /// state element.
     Register,
 }
 
@@ -84,7 +86,6 @@ impl Granularity {
     pub fn as_str(self) -> &'static str {
         match self {
             Granularity::Monolithic => "monolithic",
-            Granularity::Output => "output",
             Granularity::Register => "register",
         }
     }
@@ -93,16 +94,15 @@ impl Granularity {
     pub fn parse(s: &str) -> Option<Granularity> {
         Some(match s {
             "monolithic" => Granularity::Monolithic,
-            "output" => Granularity::Output,
             "register" => Granularity::Register,
             _ => return None,
         })
     }
 
-    /// Whether this granularity uses the clustered (decomposed) check
-    /// path instead of the flat per-property portfolio.
+    /// Whether this granularity checks a clustered (decomposed) plan
+    /// instead of one job per exact property.
     pub fn is_decomposed(self) -> bool {
-        !matches!(self, Granularity::Monolithic)
+        self == Granularity::Register
     }
 }
 
@@ -113,7 +113,7 @@ impl std::fmt::Display for Granularity {
 }
 
 /// Unified configuration for a check or proof run — budgets, scheduling,
-/// solver tuning, and the telemetry handle — consumed by the checker, the
+/// and the telemetry handle — consumed by the checker, the
 /// engines, the portfolio scheduler, the testbench, and every binary.
 #[derive(Clone, Debug)]
 pub struct CheckConfig {
@@ -134,11 +134,6 @@ pub struct CheckConfig {
     /// Additional attempts after a contained engine-job panic
     /// (0 = fail fast).
     pub retries: u32,
-    /// Conflict-budget multiplier applied per retry attempt.
-    pub retry_escalation: u32,
-    /// How many conflicts pass between solver deadline/hook polls
-    /// (min 1). Smaller values tighten interruption latency.
-    pub poll_interval: u64,
     /// Where check attempts execute (in-process threads or supervised
     /// worker subprocesses). Excluded from the content key *and* the
     /// config fingerprint: isolation never changes answers, so journals
@@ -153,14 +148,10 @@ pub struct CheckConfig {
     /// heartbeat goes silent for a supervisor-chosen multiple of this
     /// period is presumed wedged and killed.
     pub heartbeat_ms: u64,
-    /// Property decomposition level for check runs. Decomposed
-    /// granularities route checks through per-cluster slicing and
-    /// caching; `Monolithic` (default) keeps the legacy flat path.
+    /// Property decomposition level for check runs. `Register` routes
+    /// checks through per-cluster slicing and caching; `Monolithic`
+    /// (default) runs one job per exact property.
     pub granularity: Granularity,
-    /// Jaccard overlap threshold (`0.0 ..= 1.0`) above which two
-    /// properties' sequential cones share a cluster. Higher values make
-    /// smaller, more numerous clusters.
-    pub cluster_overlap: f64,
     /// Certify every UNSAT solve with a DRAT proof checked by the
     /// independent forward RUP checker (`--certify`). A failed or missing
     /// certificate degrades the outcome to FAILED(certification), never
@@ -184,13 +175,10 @@ impl Default for CheckConfig {
             slice: false,
             jobs: 1,
             retries: 1,
-            retry_escalation: 2,
-            poll_interval: 128,
             isolation: Isolation::InProcess,
             memory_limit_mb: None,
             heartbeat_ms: 250,
             granularity: Granularity::Monolithic,
-            cluster_overlap: 0.9,
             certify: false,
             telemetry: Telemetry::off(),
         }
@@ -240,18 +228,6 @@ impl CheckConfig {
         self
     }
 
-    /// Sets the per-retry conflict-budget escalation factor.
-    pub fn retry_escalation(mut self, escalation: u32) -> Self {
-        self.retry_escalation = escalation;
-        self
-    }
-
-    /// Sets the solver poll interval (clamped to at least 1).
-    pub fn poll_interval(mut self, conflicts: u64) -> Self {
-        self.poll_interval = conflicts.max(1);
-        self
-    }
-
     /// Sets where check attempts execute.
     pub fn isolation(mut self, isolation: Isolation) -> Self {
         self.isolation = isolation;
@@ -281,16 +257,6 @@ impl CheckConfig {
         self
     }
 
-    /// Sets the cone-clustering Jaccard threshold (clamped to `[0, 1]`).
-    pub fn cluster_overlap(mut self, overlap: f64) -> Self {
-        self.cluster_overlap = if overlap.is_nan() {
-            0.9
-        } else {
-            overlap.clamp(0.0, 1.0)
-        };
-        self
-    }
-
     /// Switches DRAT certification of UNSAT solves on or off.
     pub fn certify(mut self, certify: bool) -> Self {
         self.certify = certify;
@@ -303,12 +269,10 @@ impl CheckConfig {
         self
     }
 
-    /// The retry policy derived from `retries`/`retry_escalation`.
+    /// The retry policy derived from `retries`, at the default
+    /// escalation.
     pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: self.retries,
-            escalation: self.retry_escalation,
-        }
+        RetryPolicy::with_retries(self.retries)
     }
 }
 
@@ -324,44 +288,33 @@ mod tests {
             .no_timeout()
             .jobs(0)
             .slice(true)
-            .retries(3)
-            .retry_escalation(4)
-            .poll_interval(0);
+            .retries(3);
         assert_eq!(c.max_depth, 12);
         assert_eq!(c.conflict_budget, Some(5_000));
         assert_eq!(c.time_budget, None);
         assert_eq!(c.jobs, 1, "jobs clamps to 1");
         assert!(c.slice);
-        assert_eq!(c.poll_interval, 1, "poll interval clamps to 1");
         let policy = c.retry_policy();
         assert_eq!(policy.max_retries, 3);
-        assert_eq!(policy.escalation, 4);
+        assert_eq!(policy.escalation, 2);
     }
 
     #[test]
     fn granularity_knobs_compose_and_clamp() {
         let c = CheckConfig::default();
         assert_eq!(c.granularity, Granularity::Monolithic);
-        assert!((c.cluster_overlap - 0.9).abs() < 1e-12);
-        let c = c.granularity(Granularity::Register).cluster_overlap(1.5);
+        let c = c.granularity(Granularity::Register);
         assert_eq!(c.granularity, Granularity::Register);
-        assert!((c.cluster_overlap - 1.0).abs() < 1e-12, "overlap clamps");
-        let c = c.cluster_overlap(f64::NAN);
-        assert!((c.cluster_overlap - 0.9).abs() < 1e-12, "NaN falls back");
     }
 
     #[test]
     fn granularity_round_trips() {
-        for g in [
-            Granularity::Monolithic,
-            Granularity::Output,
-            Granularity::Register,
-        ] {
+        for g in [Granularity::Monolithic, Granularity::Register] {
             assert_eq!(Granularity::parse(g.as_str()), Some(g));
         }
         assert_eq!(Granularity::parse("bogus"), None);
+        assert_eq!(Granularity::parse("output"), None);
         assert!(!Granularity::Monolithic.is_decomposed());
-        assert!(Granularity::Output.is_decomposed());
         assert!(Granularity::Register.is_decomposed());
     }
 
@@ -396,7 +349,6 @@ mod tests {
         assert_eq!(c.time_budget, Some(Duration::from_secs(300)));
         assert!(!c.slice);
         assert_eq!(c.jobs, 1);
-        assert_eq!(c.poll_interval, 128);
         assert!(!c.telemetry.enabled());
     }
 }

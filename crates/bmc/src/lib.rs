@@ -66,7 +66,7 @@ pub use certify::{cex_hash, CertificateStatus, CertificationEffort};
 pub use checker::{
     Bmc, BmcStats, Cex, CheckFailure, CheckOutcome, FailureReason, ProveOutcome, StopCause,
 };
-pub use config::{solver_counters, CheckConfig, Granularity, Isolation};
+pub use config::{solver_counters, CheckConfig, Granularity, Isolation, CLUSTER_OVERLAP};
 pub use engine::{
     BmcEngine, CancelToken, CheckEngine, CheckSpec, EngineOutcome, EngineRun, Falsifier,
     JobFailure, KInductionEngine, UnknownCause,

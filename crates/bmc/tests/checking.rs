@@ -206,3 +206,26 @@ fn budget_exhaustion_reports_depth() {
         other => panic!("unexpected {other:?}"),
     }
 }
+
+/// A time budget past what an `Instant` can reach is no limit: the base
+/// check and the induction step both run to their answers instead of
+/// overflowing the deadline arithmetic.
+#[test]
+fn a_huge_time_budget_means_no_deadline() {
+    let huge = CheckConfig::default()
+        .depth(16)
+        .timeout(Duration::from_secs(u64::MAX));
+    let m = saturating_counter(5);
+    let mut bmc = Bmc::new(&m);
+    bmc.add_property("le_limit", m.output_node("le_limit").unwrap());
+    match bmc.check(&huge) {
+        CheckOutcome::BoundReached { depth } => assert_eq!(depth, 16),
+        other => panic!("expected a bounded proof, got {other:?}"),
+    }
+    let mut bmc = Bmc::new(&m);
+    bmc.add_property("le_limit", m.output_node("le_limit").unwrap());
+    match bmc.prove(&huge) {
+        ProveOutcome::Proved { .. } => {}
+        other => panic!("expected a full proof, got {other:?}"),
+    }
+}

@@ -8,10 +8,10 @@
 
 use autocc_aig::{cluster_cones, sequential_coi, AigLit, ConeCluster, SeqAig};
 use autocc_bmc::{
-    cex_hash, content_key_with_seq, Bmc, BmcEngine, CancelToken, CertificateStatus, CheckConfig,
-    CheckEngine, CheckFailure, CheckMode, CheckOutcome, CheckSpec, ContentKey, EngineJob,
-    EngineOutcome, EngineRun, FailureReason, Falsifier, JobFailure, KInductionEngine, Portfolio,
-    ProveOutcome, ReplayedTrace, StopCause, Trace, UnknownCause,
+    content_key_with_seq, BmcEngine, CancelToken, CertificateStatus, CheckConfig, CheckEngine,
+    CheckMode, CheckSpec, ContentKey, EngineJob, EngineOutcome, EngineRun, FailureReason,
+    Falsifier, JobFailure, KInductionEngine, Portfolio, ReplayedTrace, Trace, UnknownCause,
+    CLUSTER_OVERLAP,
 };
 use autocc_hdl::{Bv, Instance, Module, NodeId, RegId, Waveform};
 use autocc_telemetry::{SolverCounters, SpanKind, Telemetry};
@@ -309,70 +309,6 @@ pub struct CheckReport {
     pub certificate: CertificateStatus,
 }
 
-/// Maps a checker stop cause onto the outcome taxonomy: conflict budgets
-/// stay deterministic exhaustion, wall-clock and cancellation degrade to
-/// [`AutoCcOutcome::Unknown`].
-fn stop_to_outcome(bound: usize, cause: StopCause) -> AutoCcOutcome {
-    match cause {
-        StopCause::ConflictBudget => AutoCcOutcome::Exhausted { bound },
-        StopCause::TimeBudget => AutoCcOutcome::Unknown {
-            bound,
-            cause: UnknownCause::TimeBudget,
-        },
-        StopCause::Cancelled => AutoCcOutcome::Unknown {
-            bound,
-            cause: UnknownCause::Cancelled,
-        },
-    }
-}
-
-/// Projects one batch-level outcome onto per-property verdicts. The
-/// batch's properties share a single solve, so a counterexample pins its
-/// own property at the violation depth and bounds every sibling one frame
-/// shy (all earlier frames were UNSAT for the whole batch); every other
-/// outcome applies to each property uniformly.
-fn batch_verdicts(names: &[String], outcome: &AutoCcOutcome) -> Vec<(String, PropertyVerdict)> {
-    names
-        .iter()
-        .map(|n| {
-            let v = match outcome {
-                AutoCcOutcome::Cex(cc) => {
-                    if *n == cc.property {
-                        PropertyVerdict::Cex { depth: cc.depth }
-                    } else {
-                        PropertyVerdict::Clean {
-                            bound: cc.depth.saturating_sub(1),
-                        }
-                    }
-                }
-                AutoCcOutcome::Clean { bound } => PropertyVerdict::Clean { bound: *bound },
-                AutoCcOutcome::Proved { induction_depth } => PropertyVerdict::Proved {
-                    induction_depth: *induction_depth,
-                },
-                AutoCcOutcome::Exhausted { bound } => PropertyVerdict::Exhausted { bound: *bound },
-                AutoCcOutcome::Unknown { bound, .. } => PropertyVerdict::Unknown { bound: *bound },
-                AutoCcOutcome::Failed { .. } => PropertyVerdict::Failed,
-            };
-            (n.clone(), v)
-        })
-        .collect()
-}
-
-/// The verdict of a single-property engine run.
-fn run_verdict(outcome: &EngineOutcome) -> PropertyVerdict {
-    match outcome {
-        EngineOutcome::Cex(cex) => PropertyVerdict::Cex { depth: cex.depth },
-        EngineOutcome::BoundReached { depth } => PropertyVerdict::Clean { bound: *depth },
-        EngineOutcome::Proved { induction_depth } => PropertyVerdict::Proved {
-            induction_depth: *induction_depth,
-        },
-        EngineOutcome::Exhausted { depth } => PropertyVerdict::Exhausted { bound: *depth },
-        EngineOutcome::Unknown { depth, .. } => PropertyVerdict::Unknown { bound: *depth },
-        EngineOutcome::Failed(_) => PropertyVerdict::Failed,
-    }
-}
-
-/// Lifts a checker-level failure into a job failure for reporting.
 /// Restricts a candidate certificate to conclusive outcomes: a failed row
 /// (contained panic, replay mismatch, rejected proof) or an inconclusive
 /// one (budget stop) must never look certified, whatever was collected
@@ -386,20 +322,9 @@ fn gate_certificate(outcome: &AutoCcOutcome, candidate: CertificateStatus) -> Ce
     }
 }
 
-fn check_failure_to_job(engine: &str, failure: CheckFailure) -> JobFailure {
-    JobFailure {
-        engine: engine.to_string(),
-        property: None,
-        depth: failure.depth,
-        reason: failure.reason,
-        detail: failure.detail,
-        attempts: 1,
-    }
-}
-
 /// One group of same-class properties whose sequential cones overlap
-/// enough (Jaccard, [`CheckConfig::cluster_overlap`]) to be sliced and
-/// bit-blasted as a single sub-miter.
+/// enough (Jaccard, [`CLUSTER_OVERLAP`]) to be sliced and bit-blasted as a
+/// single sub-miter; in the monolithic plan, one exact property.
 #[derive(Clone, Debug)]
 pub struct PropertyCluster {
     /// Indices into [`FpvTestbench::properties`], ascending.
@@ -408,9 +333,10 @@ pub struct PropertyCluster {
     /// two classes run under different constraint sets).
     pub class: PropertyClass,
     /// State bits in the cluster's union cone (properties plus the class
-    /// constraint set — exactly what the cluster's job slices to).
+    /// constraint set — exactly what the cluster's job slices to); 0 in
+    /// the monolithic plan, which computes no cones.
     pub cone_state_bits: usize,
-    /// Input-port bits in the cluster's union cone.
+    /// Input-port bits in the cluster's union cone (0 when monolithic).
     pub cone_port_bits: usize,
     /// Display label: the first member's property name, with a `+N`
     /// suffix when N more properties share the cluster.
@@ -424,8 +350,10 @@ impl PropertyCluster {
     }
 }
 
-/// The decomposed check plan for a testbench under one config: every
-/// property assigned to exactly one cluster, exact-class clusters first.
+/// The check plan for a testbench under one config: every property it
+/// checks in exactly one cluster, exact-class clusters first. The
+/// decomposed plan ([`FpvTestbench::cluster_plan`]) checks every
+/// property; the monolithic one only the exact properties, one per job.
 #[derive(Clone, Debug)]
 pub struct ClusterPlan {
     /// The clusters, in deterministic plan order (exact class first,
@@ -573,70 +501,17 @@ impl FpvTestbench {
         self.threshold
     }
 
-    fn configure<'t>(&'t self, telemetry: Telemetry) -> Bmc<'t> {
-        // Single-`Bmc` paths check the exact class only: one solver
-        // instance has one constraint set, and mixing the observer
-        // assumptions into it would restrict the exact properties'
-        // traces. Attribution properties are checked by the clustered
-        // path, each cluster under its own class constraints.
-        let mut bmc = Bmc::with_telemetry(&self.miter, telemetry);
-        for &c in &self.constraints {
-            bmc.add_constraint(c);
-        }
-        for (_, name, p) in self.exact_properties() {
-            bmc.add_property(name, p);
-        }
-        bmc
-    }
-
     /// Runs the exhaustive search for covert channels up to
-    /// `config.max_depth` cycles.
+    /// `config.max_depth` cycles: one [`BmcEngine`] solve over every exact
+    /// property, sliced when `config.slice` asks.
     pub fn check(&self, config: &CheckConfig) -> CheckReport {
-        let start = Instant::now();
-        let span = config.telemetry.child(SpanKind::Check, "check");
-        let mut run_config = config.clone();
-        run_config.telemetry = span.clone();
-        let mut bmc = self.configure(span.clone());
-        let mut certificate = CertificateStatus::Uncertified;
-        let outcome = match bmc.check(&run_config) {
-            CheckOutcome::Cex(cex) => {
-                if run_config.certify {
-                    certificate = CertificateStatus::Certified {
-                        hash: cex_hash(&cex),
-                    };
-                }
-                self.certified_outcome(&cex, &span)
-            }
-            CheckOutcome::BoundReached { depth } => {
-                certificate = bmc.certificate();
-                AutoCcOutcome::Clean { bound: depth }
-            }
-            CheckOutcome::Exhausted { depth, cause } => stop_to_outcome(depth, cause),
-            CheckOutcome::Failed(failure) => AutoCcOutcome::Failed {
-                failures: vec![check_failure_to_job("bmc", failure)],
-            },
-        };
-        let stats = bmc.counters();
-        span.close();
-        let names: Vec<String> = self
-            .exact_properties()
-            .into_iter()
-            .map(|(_, n, _)| n)
-            .collect();
-        let verdicts = batch_verdicts(&names, &outcome);
-        CheckReport {
-            certificate: gate_certificate(&outcome, certificate),
-            outcome,
-            elapsed: start.elapsed(),
-            stats,
-            verdicts,
-        }
+        self.check_exact("check", config, &[&BmcEngine])
     }
 
     /// Runs the covert-channel search through the check-engine portfolio:
     /// one [`BmcEngine`] job per generated assertion, optionally sliced to
     /// that assertion's sequential cone of influence, fanned across
-    /// `settings.jobs` worker threads.
+    /// `config.jobs` worker threads.
     ///
     /// The merge is deterministic: the reported counterexample is the one
     /// with the smallest `(depth, property index)`, exhaustion bounds take
@@ -656,136 +531,87 @@ impl FpvTestbench {
     /// seam the fault-injection tests use to exercise panic containment,
     /// hang interruption, and CEX certification with misbehaving engines.
     ///
-    /// At a decomposed [`CheckConfig::granularity`] the property set is
-    /// routed through [`FpvTestbench::cluster_plan`]: one engine job per
-    /// cone cluster (sliced and bit-blasted once per cluster), scheduled
-    /// largest-cone-first, merged class-aware so the table-level outcome
-    /// still derives exclusively from the exact-class properties.
+    /// Runs the plan for `config`: at monolithic granularity one singleton
+    /// job per exact property, in property order; at a decomposed one the
+    /// [`FpvTestbench::cluster_plan`], one job per cone cluster (sliced
+    /// and bit-blasted once per cluster). Jobs start largest-cone-first
+    /// (a monolithic plan's cones all read 0, so its jobs start in
+    /// property order); each run becomes a report through the converter
+    /// behind [`FpvTestbench::check_cluster`], [`FpvTestbench::check`] and
+    /// [`FpvTestbench::prove`], and [`FpvTestbench::merge_cluster_reports`]
+    /// merges them, so the table-level outcome derives from the
+    /// exact-class properties alone.
     pub fn check_portfolio_with(
         &self,
         config: &CheckConfig,
         engine: &dyn CheckEngine,
     ) -> CheckReport {
-        if let Some(plan) = self.cluster_plan(config) {
-            return self.check_clustered(&plan, config, engine);
-        }
         let start = Instant::now();
-        let exact = self.exact_properties();
-        // One check span per generated assertion; the spans stay open
-        // while the scheduler runs and close once their job has reported.
-        let mut spans: Vec<Telemetry> = Vec::with_capacity(exact.len());
-        let jobs: Vec<EngineJob<'_, '_>> = exact
+        let plan = match self.cluster_plan(config) {
+            Some(plan) => {
+                config
+                    .telemetry
+                    .gauge("clusters", plan.clusters.len() as u64);
+                config
+                    .telemetry
+                    .gauge("cluster_properties", plan.num_properties() as u64);
+                plan
+            }
+            None => self.monolithic_plan(),
+        };
+        let jobs: Vec<EngineJob<'_, '_>> = plan
+            .clusters
             .iter()
-            .map(|(_, name, p)| {
-                let span = config.telemetry.child(SpanKind::Check, name);
-                spans.push(span.clone());
-                let mut job_config = config.clone();
-                job_config.telemetry = span;
-                EngineJob {
-                    engine,
-                    spec: CheckSpec::new(&self.miter)
-                        .property(name.clone(), *p)
-                        .constraints(&self.constraints),
-                    config: job_config,
-                    property: Some(name.clone()),
-                    cancel: CancelToken::new(),
-                }
-            })
+            .map(|cluster| self.plan_job(cluster, config, engine))
             .collect();
-        let runs = Portfolio::new(config.jobs).run_engine_jobs(jobs);
+        // Each job's check span stays open while the scheduler runs and
+        // closes once its run has been converted.
+        let spans: Vec<Telemetry> = jobs.iter().map(|j| j.config.telemetry.clone()).collect();
+        // Results come back positionally, so the start order affects load
+        // balance only and the merge stays jobs-invariant.
+        let mut priority: Vec<usize> = (0..plan.clusters.len()).collect();
+        priority.sort_by_key(|&i| {
+            (
+                std::cmp::Reverse(plan.clusters[i].cone_bits()),
+                plan.clusters[i].members[0],
+            )
+        });
+        let runs = Portfolio::new(config.jobs).run_engine_jobs_prioritized(jobs, Some(&priority));
+        let reports: Vec<CheckReport> = plan
+            .clusters
+            .iter()
+            .zip(runs)
+            .zip(&spans)
+            .map(|((cluster, run), span)| self.job_report(&cluster.members, run, span))
+            .collect();
         for span in &spans {
             span.close();
         }
-        let mut stats = SolverCounters::default();
-        for run in &runs {
-            stats += &run.counters;
-        }
-
-        // Deterministic merge, in property-registration order.
-        let mut verdicts: Vec<(String, PropertyVerdict)> = Vec::with_capacity(runs.len());
-        let mut best_cex: Option<(usize, usize, autocc_bmc::Cex, CertificateStatus)> = None;
-        let mut failures: Vec<JobFailure> = Vec::new();
-        let mut unknown: Option<(usize, UnknownCause)> = None;
-        let mut exhausted_bound: Option<usize> = None;
-        let mut clean_bound: Option<usize> = None;
-        // A Clean row claims every property held, so its certificate folds
-        // every job's certificate (in property order): one uncertified
-        // member makes the row uncertified.
-        let mut unsat_cert: Option<CertificateStatus> = None;
-        for (i, run) in runs.into_iter().enumerate() {
-            verdicts.push((exact[i].1.clone(), run_verdict(&run.outcome)));
-            let run_cert = run.certificate;
-            match run.outcome {
-                EngineOutcome::Cex(cex) => {
-                    if best_cex
-                        .as_ref()
-                        .is_none_or(|(d, j, _, _)| (cex.depth, i) < (*d, *j))
-                    {
-                        best_cex = Some((cex.depth, i, cex, run_cert));
-                    }
-                }
-                EngineOutcome::Exhausted { depth } => {
-                    exhausted_bound = Some(exhausted_bound.map_or(depth, |b| b.min(depth)));
-                }
-                EngineOutcome::Unknown { depth, cause } => {
-                    unknown = Some(match unknown {
-                        None => (depth, cause),
-                        // Minimum bound; the cause of the first (property
-                        // order) unknown job keeps the merge deterministic.
-                        Some((b, c)) => (b.min(depth), c),
-                    });
-                }
-                EngineOutcome::Failed(f) => failures.push(f),
-                EngineOutcome::BoundReached { depth }
-                | EngineOutcome::Proved {
-                    induction_depth: depth,
-                } => {
-                    clean_bound = Some(clean_bound.map_or(depth, |b| b.min(depth)));
-                    unsat_cert = Some(match unsat_cert {
-                        None => run_cert,
-                        Some(prev) => prev.combine(&run_cert),
-                    });
-                }
-            }
-        }
-        // A certified counterexample outranks everything; a CEX that fails
-        // certification is a checker fault and joins the failures instead.
-        let mut certified: Option<CovertChannelCex> = None;
-        let mut cex_cert = CertificateStatus::Uncertified;
-        if let Some((_, _, cex, cert)) = best_cex {
-            let certify = config.telemetry.child(SpanKind::Phase, "certify");
-            match self.certify_cex(&cex) {
-                Ok(cc) => {
-                    certified = Some(cc);
-                    cex_cert = cert;
-                }
-                Err(f) => failures.push(f),
-            }
-            certify.close();
-        }
-        let outcome = if let Some(cc) = certified {
-            AutoCcOutcome::Cex(Box::new(cc))
-        } else if !failures.is_empty() {
-            AutoCcOutcome::Failed { failures }
-        } else if let Some((bound, cause)) = unknown {
-            AutoCcOutcome::Unknown { bound, cause }
-        } else if let Some(bound) = exhausted_bound {
-            AutoCcOutcome::Exhausted { bound }
-        } else {
-            AutoCcOutcome::Clean {
-                bound: clean_bound.unwrap_or(config.max_depth),
-            }
-        };
-        let candidate = match &outcome {
-            AutoCcOutcome::Cex(_) => cex_cert,
-            _ => unsat_cert.unwrap_or(CertificateStatus::Uncertified),
-        };
+        let merged = self.merge_cluster_reports(&plan, reports, config);
         CheckReport {
-            certificate: gate_certificate(&outcome, candidate),
-            outcome,
             elapsed: start.elapsed(),
-            stats,
-            verdicts,
+            ..merged
+        }
+    }
+
+    /// The monolithic plan: one singleton job per exact property, in
+    /// property order. It computes no cone and blasts nothing.
+    fn monolithic_plan(&self) -> ClusterPlan {
+        let clusters = self
+            .exact_properties()
+            .into_iter()
+            .map(|(i, label, _)| PropertyCluster {
+                members: vec![i],
+                class: PropertyClass::Exact,
+                cone_state_bits: 0,
+                cone_port_bits: 0,
+                label,
+            })
+            .collect();
+        ClusterPlan {
+            clusters,
+            total_state_bits: 0,
+            total_port_bits: 0,
         }
     }
 
@@ -796,9 +622,9 @@ impl FpvTestbench {
     /// root *plus its class constraint set* — exactly the slice the
     /// cluster's engine job encodes. Attribution properties are then
     /// greedily clustered when their cones overlap by at least
-    /// [`CheckConfig::cluster_overlap`] (Jaccard); exact properties stay
-    /// singleton clusters so the decomposed table reproduces the
-    /// monolithic path's per-property witness choice. Exact and
+    /// [`CLUSTER_OVERLAP`] (Jaccard); exact properties stay singleton
+    /// clusters so the decomposed table reproduces the monolithic plan's
+    /// per-property witness choice. Exact and
     /// attribution properties never share a cluster: they run under
     /// different constraint sets. The plan is deterministic in property
     /// registration order.
@@ -838,8 +664,8 @@ impl FpvTestbench {
                 })
                 .collect();
             // Exact-class properties are never batched: each gets its own
-            // singleton cluster, so the decomposed path runs the same
-            // one-property-per-solve jobs as the monolithic path and the
+            // singleton cluster, so the decomposed plan runs the same
+            // one-property-per-solve jobs as the monolithic plan and the
             // merge reproduces its `(depth, property index)` witness choice
             // exactly. A batched solve reports whichever member the SAT
             // model happens to violate — a model-dependent witness that can
@@ -854,7 +680,7 @@ impl FpvTestbench {
                         cone: cone.clone(),
                     })
                     .collect(),
-                PropertyClass::Attribution => cluster_cones(&cones, config.cluster_overlap),
+                PropertyClass::Attribution => cluster_cones(&cones, CLUSTER_OVERLAP),
             };
             for cluster in groups {
                 let global: Vec<usize> = cluster.members.iter().map(|&l| members[l]).collect();
@@ -917,10 +743,7 @@ impl FpvTestbench {
     /// sliced to the cluster's cone, member properties checked together
     /// under the class constraint set — and converts the result into a
     /// cluster-level report with per-member verdicts. Counterexamples are
-    /// certified before being reported. Cluster jobs always slice
-    /// regardless of `config.slice`: the cluster exists precisely to
-    /// confine the encoding to its cone, slicing is verdict-invariant,
-    /// and without it every cluster would re-encode the full miter.
+    /// certified before being reported.
     pub fn check_cluster(
         &self,
         cluster: &PropertyCluster,
@@ -928,22 +751,11 @@ impl FpvTestbench {
         engine: &dyn CheckEngine,
     ) -> CheckReport {
         let start = Instant::now();
-        let span = config.telemetry.child(SpanKind::Check, &cluster.label);
-        span.gauge("cone_state_bits", cluster.cone_state_bits as u64);
-        span.gauge("cone_port_bits", cluster.cone_port_bits as u64);
-        span.gauge("cluster_properties", cluster.members.len() as u64);
-        let mut job_config = config.clone().slice(true);
-        job_config.telemetry = span.clone();
-        let job = EngineJob {
-            engine,
-            spec: self.cluster_spec(cluster),
-            config: job_config,
-            property: Some(cluster.label.clone()),
-            cancel: CancelToken::new(),
-        };
+        let job = self.plan_job(cluster, config, engine);
+        let span = job.config.telemetry.clone();
         let runs = Portfolio::new(1).run_engine_jobs(vec![job]);
         let run = runs.into_iter().next().expect("one job yields one run");
-        let report = self.cluster_report(cluster, run, &span);
+        let report = self.job_report(&cluster.members, run, &span);
         span.close();
         CheckReport {
             elapsed: start.elapsed(),
@@ -951,9 +763,28 @@ impl FpvTestbench {
         }
     }
 
-    /// The check spec of one cluster: member properties in registration
-    /// order plus the class constraint set, labelled with the cluster.
-    fn cluster_spec(&self, cluster: &PropertyCluster) -> CheckSpec<'_> {
+    /// One job of a plan: `engine` over the cluster's members under their
+    /// class constraint set, in a check span named by the cluster label.
+    /// Decomposed clusters always slice, whatever `config.slice` says:
+    /// the cluster exists to confine the encoding to its cone, slicing is
+    /// verdict-invariant, and without it every cluster would re-encode the
+    /// full miter. A monolithic plan's jobs slice only when `config.slice`
+    /// asks, and record no cone sizes (they computed none).
+    fn plan_job<'t>(
+        &'t self,
+        cluster: &PropertyCluster,
+        config: &CheckConfig,
+        engine: &'t dyn CheckEngine,
+    ) -> EngineJob<'t, 't> {
+        let span = config.telemetry.child(SpanKind::Check, &cluster.label);
+        let decomposed = config.granularity.is_decomposed();
+        if decomposed {
+            span.gauge("cone_state_bits", cluster.cone_state_bits as u64);
+            span.gauge("cone_port_bits", cluster.cone_port_bits as u64);
+            span.gauge("cluster_properties", cluster.members.len() as u64);
+        }
+        let mut job_config = config.clone().slice(config.slice || decomposed);
+        job_config.telemetry = span;
         let mut spec = CheckSpec::new(&self.miter)
             .constraints(self.cluster_constraints(cluster))
             .group(cluster.label.clone());
@@ -961,25 +792,38 @@ impl FpvTestbench {
             let (name, p) = &self.properties[i];
             spec = spec.property(name.clone(), *p);
         }
-        spec
+        EngineJob {
+            engine,
+            spec,
+            config: job_config,
+            property: Some(cluster.label.clone()),
+            cancel: CancelToken::new(),
+        }
     }
 
-    /// Converts one cluster's engine run into a cluster-level report:
-    /// per-member verdicts plus an outcome (with certification for
-    /// counterexamples). `elapsed` is left zero for the caller to fill.
-    fn cluster_report(
-        &self,
-        cluster: &PropertyCluster,
-        run: EngineRun,
-        telemetry: &Telemetry,
-    ) -> CheckReport {
-        let names: Vec<String> = cluster
-            .members
-            .iter()
-            .map(|&i| self.properties[i].0.clone())
-            .collect();
+    /// The one converter from an engine run to a report: `run` was made
+    /// over the properties `members` (indices into [`Self::properties`]),
+    /// and each member gets one verdict. A counterexample is
+    /// replay-certified (under a `certify` phase span) before it counts; a
+    /// rejected one turns the outcome into `Failed`. A certified witness
+    /// pins its own property at its depth and, replayed once more, every
+    /// sibling it also violates (several bits of one diverging register,
+    /// say); the other siblings held one frame shy, since all earlier
+    /// frames were UNSAT for the whole batch. Every other outcome applies
+    /// to each member alike. The certificate the engine stamped is gated
+    /// on the outcome, so a rejected CEX drops it. `elapsed` is left zero
+    /// for the caller to fill.
+    fn job_report(&self, members: &[usize], run: EngineRun, telemetry: &Telemetry) -> CheckReport {
         let outcome = match run.outcome {
-            EngineOutcome::Cex(cex) => self.certified_outcome(&cex, telemetry),
+            EngineOutcome::Cex(cex) => {
+                let certify = telemetry.child(SpanKind::Phase, "certify");
+                let outcome = match self.certify_cex(&cex) {
+                    Ok(cc) => AutoCcOutcome::Cex(Box::new(cc)),
+                    Err(f) => AutoCcOutcome::Failed { failures: vec![f] },
+                };
+                certify.close();
+                outcome
+            }
             EngineOutcome::BoundReached { depth } => AutoCcOutcome::Clean { bound: depth },
             EngineOutcome::Proved { induction_depth } => AutoCcOutcome::Proved { induction_depth },
             EngineOutcome::Exhausted { depth } => AutoCcOutcome::Exhausted { bound: depth },
@@ -989,46 +833,43 @@ impl FpvTestbench {
             },
             EngineOutcome::Failed(f) => AutoCcOutcome::Failed { failures: vec![f] },
         };
-        let mut verdicts = batch_verdicts(&names, &outcome);
+        let verdict = match &outcome {
+            AutoCcOutcome::Cex(cc) => PropertyVerdict::Clean {
+                bound: cc.depth.saturating_sub(1),
+            },
+            AutoCcOutcome::Clean { bound } => PropertyVerdict::Clean { bound: *bound },
+            AutoCcOutcome::Proved { induction_depth } => PropertyVerdict::Proved {
+                induction_depth: *induction_depth,
+            },
+            AutoCcOutcome::Exhausted { bound } => PropertyVerdict::Exhausted { bound: *bound },
+            AutoCcOutcome::Unknown { bound, .. } => PropertyVerdict::Unknown { bound: *bound },
+            AutoCcOutcome::Failed { .. } => PropertyVerdict::Failed,
+        };
+        let mut verdicts: Vec<(String, PropertyVerdict)> = members
+            .iter()
+            .map(|&i| (self.properties[i].0.clone(), verdict))
+            .collect();
         if let AutoCcOutcome::Cex(cc) = &outcome {
-            self.widen_batch_cex(cluster, cc, &mut verdicts);
+            let replay = (members.len() > 1).then(|| cc.trace.replay(&self.miter));
+            // Certification rejected empty traces, so `depth >= 1`.
+            let last = cc.depth - 1;
+            for (&i, v) in members.iter().zip(&mut verdicts) {
+                let (name, prop) = &self.properties[i];
+                if *name == cc.property
+                    || replay
+                        .as_ref()
+                        .is_some_and(|r| !r.node(last, *prop).as_bool())
+                {
+                    v.1 = PropertyVerdict::Cex { depth: cc.depth };
+                }
+            }
         }
         CheckReport {
-            // The engine stamped the certificate (transcript hash for
-            // UNSAT answers, trace hash for counterexamples); a replay
-            // mismatch turned the outcome into Failed and the gate drops
-            // the stale certificate with it.
             certificate: gate_certificate(&outcome, run.certificate),
             outcome,
             elapsed: Duration::ZERO,
             stats: run.counters,
             verdicts,
-        }
-    }
-
-    /// A batched solve certifies one member's counterexample, but the same
-    /// witness trace often violates sibling members too (several bits of
-    /// one diverging register, say). Replaying the certified trace once and
-    /// re-evaluating every member keeps the verdict map honest: without
-    /// this, clustering would mask all but one leaking bit behind
-    /// `Clean { bound: depth - 1 }`.
-    fn widen_batch_cex(
-        &self,
-        cluster: &PropertyCluster,
-        cc: &CovertChannelCex,
-        verdicts: &mut [(String, PropertyVerdict)],
-    ) {
-        if cluster.members.len() < 2 {
-            return;
-        }
-        let replay = cc.trace.replay(&self.miter);
-        // Certification already rejected empty traces, so `depth >= 1`.
-        let last = cc.depth - 1;
-        for (&i, v) in cluster.members.iter().zip(verdicts.iter_mut()) {
-            let (_, prop) = &self.properties[i];
-            if !replay.node(last, *prop).as_bool() {
-                v.1 = PropertyVerdict::Cex { depth: cc.depth };
-            }
         }
     }
 
@@ -1143,77 +984,11 @@ impl FpvTestbench {
         }
     }
 
-    /// The decomposed check path: one engine job per cluster, scheduled
-    /// largest-cone-first across `config.jobs` workers, merged
-    /// class-aware. Records `clusters` / `cluster_properties` gauges and
-    /// per-cluster cone sizes when telemetry is on.
-    fn check_clustered(
-        &self,
-        plan: &ClusterPlan,
-        config: &CheckConfig,
-        engine: &dyn CheckEngine,
-    ) -> CheckReport {
-        let start = Instant::now();
-        config
-            .telemetry
-            .gauge("clusters", plan.clusters.len() as u64);
-        config
-            .telemetry
-            .gauge("cluster_properties", plan.num_properties() as u64);
-        let mut spans: Vec<Telemetry> = Vec::with_capacity(plan.clusters.len());
-        let jobs: Vec<EngineJob<'_, '_>> = plan
-            .clusters
-            .iter()
-            .map(|cluster| {
-                let span = config.telemetry.child(SpanKind::Check, &cluster.label);
-                span.gauge("cone_state_bits", cluster.cone_state_bits as u64);
-                span.gauge("cone_port_bits", cluster.cone_port_bits as u64);
-                span.gauge("cluster_properties", cluster.members.len() as u64);
-                spans.push(span.clone());
-                // Clusters always slice; see `check_cluster`.
-                let mut job_config = config.clone().slice(true);
-                job_config.telemetry = span;
-                EngineJob {
-                    engine,
-                    spec: self.cluster_spec(cluster),
-                    config: job_config,
-                    property: Some(cluster.label.clone()),
-                    cancel: CancelToken::new(),
-                }
-            })
-            .collect();
-        // Execute largest-cone-first for load balance; results come back
-        // positionally, so the merge stays jobs-invariant.
-        let mut priority: Vec<usize> = (0..plan.clusters.len()).collect();
-        priority.sort_by_key(|&i| {
-            (
-                std::cmp::Reverse(plan.clusters[i].cone_bits()),
-                plan.clusters[i].members[0],
-            )
-        });
-        let runs = Portfolio::new(config.jobs).run_engine_jobs_prioritized(jobs, Some(&priority));
-        let reports: Vec<CheckReport> = plan
-            .clusters
-            .iter()
-            .zip(runs)
-            .zip(&spans)
-            .map(|((cluster, run), span)| self.cluster_report(cluster, run, span))
-            .collect();
-        for span in &spans {
-            span.close();
-        }
-        let merged = self.merge_cluster_reports(plan, reports, config);
-        CheckReport {
-            elapsed: start.elapsed(),
-            ..merged
-        }
-    }
-
-    /// Attempts a full proof through the engine layer. With `jobs > 1`
-    /// this races [`KInductionEngine`] against a [`Falsifier`]-wrapped
-    /// [`BmcEngine`] over the whole assertion set (first conclusive result
-    /// wins, the loser is cancelled); serially it runs k-induction alone.
-    pub fn prove_portfolio(&self, config: &CheckConfig) -> CheckReport {
+    /// Attempts a full proof through the engine layer: k-induction alone
+    /// at `jobs 1`; with `jobs > 1`, [`KInductionEngine`] raced against a
+    /// [`Falsifier`]-wrapped [`BmcEngine`] over the whole assertion set
+    /// (first conclusive result wins, the loser is cancelled).
+    pub fn prove(&self, config: &CheckConfig) -> CheckReport {
         let falsifier = Falsifier(BmcEngine);
         if config.jobs > 1 {
             self.prove_portfolio_with(config, &[&KInductionEngine, &falsifier])
@@ -1222,106 +997,52 @@ impl FpvTestbench {
         }
     }
 
-    /// [`FpvTestbench::prove_portfolio`] with caller-chosen engines: the
-    /// seam the process-isolation layer uses to substitute subprocess
-    /// engines. A single engine runs serially; several race (first
-    /// conclusive result wins, losers are cancelled).
+    /// [`FpvTestbench::prove`] with caller-chosen engines: the seam the
+    /// process-isolation layer uses to substitute subprocess engines. A
+    /// single engine runs serially; several race (first conclusive result
+    /// wins, losers are cancelled).
     pub fn prove_portfolio_with(
         &self,
         config: &CheckConfig,
         engines: &[&dyn CheckEngine],
     ) -> CheckReport {
+        self.check_exact("prove", config, engines)
+    }
+
+    /// One job over every exact property, in a check span `name`: a
+    /// single engine runs directly on the caller's thread, several race.
+    /// Only the exact constraint set is sound for the exact properties,
+    /// and mixing the observer assumptions into one solver would restrict
+    /// their traces, so attribution properties are left to the clustered
+    /// plan.
+    fn check_exact(
+        &self,
+        name: &str,
+        config: &CheckConfig,
+        engines: &[&dyn CheckEngine],
+    ) -> CheckReport {
         let start = Instant::now();
-        let span = config.telemetry.child(SpanKind::Check, "prove");
-        // Proofs run under the exact constraint set only, so only the
-        // exact-class assertions are sound to include (see `configure`).
-        let exact: Vec<(String, NodeId)> = self
-            .exact_properties()
-            .into_iter()
-            .map(|(_, n, p)| (n, p))
-            .collect();
-        let names: Vec<String> = exact.iter().map(|(n, _)| n.clone()).collect();
-        let spec = CheckSpec {
-            module: &self.miter,
-            properties: exact,
-            constraints: self.constraints.clone(),
-            group: None,
-        };
+        let span = config.telemetry.child(SpanKind::Check, name);
+        let mut spec = CheckSpec::new(&self.miter).constraints(&self.constraints);
+        let mut members = Vec::new();
+        for (i, property, node) in self.exact_properties() {
+            members.push(i);
+            spec = spec.property(property, node);
+        }
         let mut run_config = config.clone();
         run_config.telemetry = span.clone();
         let run = match engines {
             [only] => only.check(&spec, &run_config, &CancelToken::new()),
             _ => {
-                let (_, run) = Portfolio::new(config.jobs.max(engines.len())).race(
-                    engines,
-                    &spec,
-                    &run_config,
-                );
-                run
+                let racers = Portfolio::new(config.jobs.max(engines.len()));
+                racers.race(engines, &spec, &run_config).1
             }
         };
-        let outcome = match run.outcome {
-            EngineOutcome::Proved { induction_depth } => AutoCcOutcome::Proved { induction_depth },
-            EngineOutcome::Cex(cex) => self.certified_outcome(&cex, &span),
-            EngineOutcome::BoundReached { depth } => AutoCcOutcome::Clean { bound: depth },
-            EngineOutcome::Exhausted { depth } => AutoCcOutcome::Exhausted { bound: depth },
-            EngineOutcome::Unknown { depth, cause } => AutoCcOutcome::Unknown {
-                bound: depth,
-                cause,
-            },
-            EngineOutcome::Failed(f) => AutoCcOutcome::Failed { failures: vec![f] },
-        };
+        let report = self.job_report(&members, run, &span);
         span.close();
-        let verdicts = batch_verdicts(&names, &outcome);
         CheckReport {
-            certificate: gate_certificate(&outcome, run.certificate),
-            outcome,
             elapsed: start.elapsed(),
-            stats: run.counters,
-            verdicts,
-        }
-    }
-
-    /// Attempts a full proof by k-induction (plus base-case BMC).
-    pub fn prove(&self, config: &CheckConfig) -> CheckReport {
-        let start = Instant::now();
-        let span = config.telemetry.child(SpanKind::Check, "prove");
-        let mut run_config = config.clone();
-        run_config.telemetry = span.clone();
-        let mut bmc = self.configure(span.clone());
-        let mut certificate = CertificateStatus::Uncertified;
-        let outcome = match bmc.prove(&run_config) {
-            ProveOutcome::Proved { induction_depth } => {
-                certificate = bmc.prove_certificate();
-                AutoCcOutcome::Proved { induction_depth }
-            }
-            ProveOutcome::Cex(cex) => {
-                if run_config.certify {
-                    certificate = CertificateStatus::Certified {
-                        hash: cex_hash(&cex),
-                    };
-                }
-                self.certified_outcome(&cex, &span)
-            }
-            ProveOutcome::Exhausted { bound, cause } => stop_to_outcome(bound, cause),
-            ProveOutcome::Failed(failure) => AutoCcOutcome::Failed {
-                failures: vec![check_failure_to_job("k-induction", failure)],
-            },
-        };
-        let stats = bmc.counters();
-        span.close();
-        let names: Vec<String> = self
-            .exact_properties()
-            .into_iter()
-            .map(|(_, n, _)| n)
-            .collect();
-        let verdicts = batch_verdicts(&names, &outcome);
-        CheckReport {
-            certificate: gate_certificate(&outcome, certificate),
-            outcome,
-            elapsed: start.elapsed(),
-            stats,
-            verdicts,
+            ..report
         }
     }
 
@@ -1450,18 +1171,6 @@ impl FpvTestbench {
             }
         }
         Ok(self.analyze_cex(cex))
-    }
-
-    /// Certifies `cex` (under a `certify` phase span) and wraps the result
-    /// as an outcome.
-    fn certified_outcome(&self, cex: &autocc_bmc::Cex, telemetry: &Telemetry) -> AutoCcOutcome {
-        let certify = telemetry.child(SpanKind::Phase, "certify");
-        let outcome = match self.certify_cex(cex) {
-            Ok(cc) => AutoCcOutcome::Cex(Box::new(cc)),
-            Err(f) => AutoCcOutcome::Failed { failures: vec![f] },
-        };
-        certify.close();
-        outcome
     }
 
     /// Root-cause analysis (the paper's `FindCause`): replay the trace and

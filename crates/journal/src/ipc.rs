@@ -22,7 +22,7 @@
 //! ## Dialect
 //!
 //! ```text
-//! worker     -> supervisor  {"kind":"hello","proto":1,"worker":NAME}
+//! worker     -> supervisor  {"kind":"hello","proto":2,"worker":NAME}
 //! supervisor -> worker      {"kind":"job","job":N,"lease_ms":M|null,
 //!                            engine, config, module, properties, constraints}
 //! worker     -> supervisor  {"kind":"heartbeat","rss_kb":K|null,"job":N}
@@ -91,8 +91,8 @@ pub const MAX_FRAME_BYTES: u64 = 64 << 20;
 
 /// Wire-protocol version carried in the hello frame. A supervisor
 /// refuses workers speaking a different version rather than guessing at
-/// frame semantics.
-pub const WIRE_PROTO: u64 = 1;
+/// frame semantics. Version 2 dropped the request's `poll` field.
+pub const WIRE_PROTO: u64 = 2;
 
 // ---------------------------------------------------------------------
 // Framing
@@ -798,12 +798,13 @@ pub fn request_json(
                 ),
                 (
                     "time_us".to_string(),
-                    config
-                        .time_budget
-                        .map_or(Json::Null, |d| Json::Num(d.as_micros() as u64)),
+                    // Saturates: a wrapped budget would hand the worker a
+                    // near-zero deadline.
+                    config.time_budget.map_or(Json::Null, |d| {
+                        Json::Num(u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
+                    }),
                 ),
                 ("slice".to_string(), Json::Bool(config.slice)),
-                ("poll".to_string(), Json::Num(config.poll_interval)),
                 ("heartbeat_ms".to_string(), Json::Num(config.heartbeat_ms)),
                 ("certify".to_string(), Json::Bool(config.certify)),
             ]),
@@ -850,7 +851,6 @@ fn request_fields(v: &Json) -> Result<WireRequest, String> {
         .depth(usize_field(c, "depth")?)
         .conflicts(opt_num("conflicts")?)
         .slice(matches!(field(c, "slice")?, Json::Bool(true)))
-        .poll_interval(u64_field(c, "poll")?)
         .heartbeat_ms(u64_field(c, "heartbeat_ms")?)
         .certify(matches!(field(c, "certify")?, Json::Bool(true)))
         .jobs(1)
@@ -1518,6 +1518,20 @@ mod tests {
         run.certificate = CertificateStatus::Uncertified;
         let (_, back) = parse_result(&result_json(5, &run));
         assert_eq!(back.certificate, CertificateStatus::Uncertified);
+    }
+
+    #[test]
+    fn a_huge_time_budget_saturates_on_the_wire() {
+        let m = leaky_module();
+        let p = m.output_node("small").unwrap();
+        let config = CheckConfig::default().timeout(Duration::from_secs(166_020_696_663_386));
+        let wire = request_json("bmc", &m, &[("small".to_string(), p)], &[], &config);
+        let req = parse_request(&wire).expect("parse request");
+        // Narrowing the budget's µs to u64 would wrap it to 35,456 µs.
+        assert_eq!(
+            req.config.time_budget,
+            Some(Duration::from_micros(u64::MAX))
+        );
     }
 
     #[test]

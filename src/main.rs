@@ -21,21 +21,26 @@
 //! trace hash. A missing or failed certificate degrades the verdict to
 //! FAILED (certification) — never to a silent PASS.
 //!
-//! Checks run through the portfolio scheduler: one check-engine job per
-//! generated assertion, fanned across `--jobs` worker threads, each
-//! optionally sliced to its cone of influence with `--slice on`. The
-//! merged result is identical for every `--jobs` value. `--prove --jobs
-//! N>1` races k-induction against a BMC falsifier, first conclusive
-//! result wins.
+//! The check runs through the report binaries' campaign runner
+//! (`bench::Campaign`): one check-engine job per generated assertion at
+//! `--granularity monolithic` (each sliced to its cone of influence with
+//! `--slice on`), one per sliced cone cluster at `register`, fanned
+//! across `--jobs` worker threads and merged identically for every
+//! `--jobs` value, under the runner's watchdog at its default hang factor
+//! of 4. `--prove --jobs N>1` races k-induction against a BMC falsifier,
+//! first conclusive result wins. `--journal FILE` journals the check as
+//! the report binaries journal theirs — one record, or one per cluster at
+//! `register` — and `--resume` serves what it holds, with a `journal: N
+//! served from cache ...` line on stderr.
 //!
 //! Built-in DUTs: `vscale`, `vscale-refined`, `cva6`, `cva6-fixed`,
 //! `maple`, `maple-fixed`, `aes`, `aes-refined`, `config-device`,
 //! `config-device-fixed`.
 
 use autocc::bench::{
-    finish_fleet, finish_profile, maybe_run_worker, parse_flags, Placement, ReportArgs,
+    finish_fleet, finish_profile, maybe_run_worker, parse_flags, Campaign, ReportArgs,
 };
-use autocc::bmc::{config_fingerprint, content_key, CertificateStatus, CheckConfig, CheckMode};
+use autocc::bmc::{CertificateStatus, CheckConfig, CheckMode};
 use autocc::core::{
     format_duration, to_sva, AutoCcOutcome, CheckReport, FpvTestbench, FtSpec, PropertyVerdict,
 };
@@ -45,9 +50,8 @@ use autocc::duts::demo::config_device;
 use autocc::duts::maple::{build_maple, MapleConfig};
 use autocc::duts::vscale::{arch, build_vscale, VscaleConfig};
 use autocc::hdl::{to_verilog, Instance, Module, ModuleBuilder, NodeId};
-use autocc::journal::{Journal, JournalEntry, JournalHeader, JOURNAL_SCHEMA_VERSION};
-use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 const DUTS: &[(&str, &str)] = &[
@@ -81,9 +85,7 @@ struct Cli {
 const USAGE: &str = "\
 usage: autocc <dut> [--depth N] [--threshold N] [--jobs N]
               [--slice on|off] [--retries N] [--timeout SECS]
-              [--granularity monolithic|output|register]
-              [--cluster-overlap FRACTION]
-              [--poll-interval N] [--profile FILE]
+              [--granularity monolithic|register] [--profile FILE]
               [--isolate] [--memory-limit-mb N] [--worker-heartbeat-ms N]
               [--listen ADDR] [--lease-factor N] [--fleet-grace-ms N]
               [--certify] [--journal FILE] [--resume | --fresh]
@@ -347,132 +349,6 @@ fn report(ft: &FpvTestbench, run: &CheckReport, minimize: bool, vcd: &Option<Str
     }
 }
 
-/// Runs the check through the crash-safe journal: an identical completed
-/// check (same content key: COI-sliced miter, properties, deterministic
-/// budgets, mode) is served from the journal — replay-certifying any
-/// cached counterexample first — and anything else runs live and is
-/// committed durably before being reported.
-fn run_journaled(
-    ft: &FpvTestbench,
-    config: &CheckConfig,
-    cli: &Cli,
-    args: &ReportArgs,
-    placement: &Placement,
-    path: &Path,
-) -> Result<CheckReport, String> {
-    let mode = mode(cli);
-    let key = content_key(ft.miter(), ft.properties(), ft.constraints(), config, mode);
-    let fingerprint = config_fingerprint(config);
-    let header = JournalHeader {
-        schema: JOURNAL_SCHEMA_VERSION,
-        fingerprint,
-        root: cli.dut.clone(),
-    };
-    let (mut journal, cached) = if args.fresh || !path.exists() {
-        let journal = Journal::create(path, &header).map_err(|e| e.to_string())?;
-        (journal, None)
-    } else if args.resume {
-        let (journal, recovered) = Journal::resume(path).map_err(|e| e.to_string())?;
-        if recovered.header.root != header.root {
-            return Err(format!(
-                "journal {} belongs to DUT `{}`, not `{}`",
-                path.display(),
-                recovered.header.root,
-                header.root
-            ));
-        }
-        if recovered.header.fingerprint != fingerprint {
-            return Err(format!(
-                "journal {} was written under a different check configuration; \
-                 rerun with --fresh",
-                path.display()
-            ));
-        }
-        if recovered.torn_bytes > 0 {
-            eprintln!(
-                "journal: discarded {} torn trailing bytes",
-                recovered.torn_bytes
-            );
-        }
-        // Latest entry wins: a re-run of the same key supersedes its
-        // predecessors.
-        let entry = recovered
-            .entries
-            .into_iter()
-            .rev()
-            .find(|e| e.key == key && e.mode == mode);
-        (journal, entry)
-    } else {
-        return Err(format!(
-            "journal {} already exists; pass --resume to continue it or --fresh to start over",
-            path.display()
-        ));
-    };
-    let attempt = cached.as_ref().map_or(1, |e| e.attempt + 1);
-    // Under --certify a conclusive cached verdict must carry its
-    // certificate; a row journaled by an uncertified run re-runs live to
-    // mint one rather than being served as if it were certified.
-    let conclusive_uncertified = cached.as_ref().is_some_and(|e| {
-        args.certify
-            && matches!(
-                e.report.outcome,
-                AutoCcOutcome::Cex(_) | AutoCcOutcome::Clean { .. } | AutoCcOutcome::Proved { .. }
-            )
-            && !e.report.certificate.is_certified()
-    });
-    if conclusive_uncertified {
-        println!("journal: cached result has no certificate; re-running under --certify ({key})");
-    }
-    if let Some(entry) = cached.as_ref().filter(|_| !conclusive_uncertified) {
-        match &entry.report.outcome {
-            AutoCcOutcome::Cex(cex) => {
-                // Never trust a cached counterexample: replay-certify it
-                // against the freshly built testbench; re-run on mismatch.
-                let raw = autocc::bmc::Cex {
-                    property: cex.property.clone(),
-                    depth: cex.depth,
-                    trace: cex.trace.clone(),
-                };
-                match ft.certify_cex(&raw) {
-                    Ok(certified) => {
-                        println!("journal: serving replay-certified cached CEX ({key})");
-                        return Ok(CheckReport {
-                            outcome: AutoCcOutcome::Cex(Box::new(certified)),
-                            elapsed: entry.report.elapsed,
-                            stats: entry.report.stats,
-                            verdicts: entry.report.verdicts.clone(),
-                            certificate: entry.report.certificate,
-                        });
-                    }
-                    Err(failure) => eprintln!(
-                        "journal: cached CEX failed certification ({}); re-running",
-                        failure.detail
-                    ),
-                }
-            }
-            _ => {
-                println!("journal: serving cached result ({key})");
-                return Ok(entry.report.clone());
-            }
-        }
-    }
-    let run = placement.run(ft, config, mode);
-    let entry = JournalEntry {
-        key,
-        id: cli.dut.clone(),
-        mode,
-        engine: "portfolio".to_string(),
-        attempt,
-        report: run.clone(),
-    };
-    // An append failure costs only durability of this one record — warn
-    // and still report the live result.
-    if let Err(e) = journal.append(&entry) {
-        eprintln!("journal: failed to append to {}: {e}", path.display());
-    }
-    Ok(run)
-}
-
 fn mode(cli: &Cli) -> CheckMode {
     if cli.prove {
         CheckMode::Prove
@@ -528,18 +404,19 @@ fn main() -> ExitCode {
         .timeout(Duration::from_secs(3600));
     let (config, profile) = args.instrument(base, &cli.dut);
     let options = args.campaign_options();
-    let placement = Placement::new(&config, &options);
-    let run = match &args.journal {
-        Some(path) => match run_journaled(&ft, &config, &cli, &args, &placement, path) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => placement.run(&ft, &config, mode(&cli)),
+    let campaign = match Campaign::open(&cli.dut, &config, &options) {
+        Ok(campaign) => campaign,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     };
+    let ft = Arc::new(ft);
+    let (run, _) = campaign.check(&cli.dut, &ft, mode(&cli), None, &config);
     finish_fleet(&options);
+    if options.journal.is_some() {
+        eprintln!("journal: {}", campaign.stats());
+    }
     report(&ft, &run, cli.minimize, &cli.vcd);
     finish_profile(&profile);
     if run.outcome.is_degraded() {
