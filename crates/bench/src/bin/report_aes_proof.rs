@@ -8,9 +8,11 @@ const USAGE: &str = "usage: report_aes_proof [--jobs N] [--slice on|off]
                      [--retries N] [--timeout SECS]
                      [--profile PATH]
   --jobs N          portfolio workers for experiment fan-out (default 1)
+                    (a check's properties share one solver)
   --slice on|off    per-property cone-of-influence slicing (default off)
   --retries N       retry panicked engine jobs up to N times (default 1)
-  --timeout SECS    wall-clock budget per check job (degrades to UNKNOWN)
+  --timeout SECS    wall-clock budget per property, charged with its own
+                    solves, and per proof (degrades to UNKNOWN)
   --profile PATH    write a JSON run profile (span tree + rollups)
 As `report_aes_proof worker --connect HOST:PORT [--backoff-ms N]
 [--backoff-max-ms N] [--max-retries N]`, serves a remote fleet instead.";

@@ -15,6 +15,7 @@ const USAGE: &str = "usage: report_table2 [--jobs N] [--slice on|off] [--stable]
                      [--listen ADDR] [--lease-factor N]
                      [--fleet-grace-ms N]
   --jobs N          fan ladder stages across N portfolio workers (default 1)
+                    (a check's properties share one solver)
   --slice on|off    per-property cone-of-influence slicing (default off)
   --granularity G   property decomposition: monolithic (default) or
                     register (adds per-state attribution properties naming
@@ -22,7 +23,8 @@ const USAGE: &str = "usage: report_table2 [--jobs N] [--slice on|off] [--stable]
   --stable          omit the Time column (byte-reproducible output)
   --detailed        per-row solver-work columns (solves, conflicts, src)
   --retries N       retry panicked engine jobs up to N times (default 1)
-  --timeout SECS    wall-clock budget per check job (degrades to UNKNOWN)
+  --timeout SECS    wall-clock budget per property, charged with its own
+                    solves, and per proof (degrades to UNKNOWN)
   --depth N         override the default check depth (default 16)
   --profile PATH    write a JSON run profile (span tree + rollups)
   --journal PATH    crash-safe campaign journal (content-addressed cache)

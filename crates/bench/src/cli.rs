@@ -13,7 +13,8 @@ use std::time::Duration;
 /// Flags common to every report binary.
 #[derive(Clone, Debug)]
 pub struct ReportArgs {
-    /// `--jobs N`: portfolio workers fanning experiments (min 1).
+    /// `--jobs N`: portfolio workers fanning experiments (min 1). It
+    /// never splits a monolithic check: its properties share one solver.
     pub jobs: usize,
     /// `--slice on|off`: per-property cone-of-influence slicing.
     pub slice: bool,
@@ -23,11 +24,13 @@ pub struct ReportArgs {
     pub granularity: Granularity,
     /// `--retries N`: retries for panicked check jobs.
     pub retries: u32,
-    /// `--timeout SECS`: wall-clock budget per check job; overrides the
-    /// experiment's default time budget. Enforced mid-solve. Per job, not
-    /// per experiment: a shared experiment-level deadline would make each
-    /// job's remaining time depend on scheduling order and break the
-    /// `jobs`-invariance of the merged outcome.
+    /// `--timeout SECS`: wall-clock budget per property of a check (each
+    /// charged with its own solve calls) and per proof or cluster job;
+    /// overrides the experiment's default time budget. Enforced
+    /// mid-solve. Never per experiment: a shared experiment-level
+    /// deadline would make each property's remaining time depend on
+    /// scheduling order and break the `jobs`-invariance of the merged
+    /// outcome.
     pub timeout: Option<Duration>,
     /// `--stable`: omit the Time column so output is byte-reproducible.
     pub stable: bool,

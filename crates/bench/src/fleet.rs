@@ -820,7 +820,6 @@ mod tests {
             module: &module,
             properties: vec![("small".to_string(), ok)],
             constraints: Vec::new(),
-            group: None,
         };
         let config = CheckConfig::default().depth(8).no_timeout();
         let expected = BmcEngine.check(&spec, &config, &CancelToken::new());

@@ -12,8 +12,11 @@ use autocc_bench::{
     run_campaign, table1, table1_tasks, table1_tasks_with, table2, CampaignOptions, WorkerLimits,
     WorkerPool,
 };
-use autocc_bmc::{CheckConfig, Granularity};
-use autocc_core::format_table_stable;
+use autocc_bmc::{
+    BmcEngine, CancelToken, CheckConfig, CheckEngine, CheckSpec, EngineRun, Granularity,
+};
+use autocc_core::{format_table_stable, AutoCcOutcome, CheckReport, FtSpec, PropertyVerdict};
+use autocc_hdl::{Bv, Module, ModuleBuilder};
 use autocc_telemetry::SolverCounters;
 use std::sync::Arc;
 
@@ -153,9 +156,10 @@ fn table1_is_jobs_invariant() {
 
 /// The solver's search is pinned, not just its verdicts: the per-row
 /// counters of a serial monolithic campaign over three cheap Table-1 rows
-/// (CEXs at depths 8, 8 and 9). Clause-store and propagation rewrites must
-/// keep every decision, conflict and learnt clause; a change that alters
-/// the search on purpose updates these numbers and says so.
+/// (CEXs at depths 8, 8 and 9), each row one shared per-property run.
+/// Clause-store and propagation rewrites must keep every decision,
+/// conflict and learnt clause; a change that alters the search on purpose
+/// updates these numbers and says so.
 #[test]
 fn cheap_table1_rows_pin_the_solver_counters() {
     let config = options(9).jobs(1);
@@ -185,13 +189,82 @@ fn cheap_table1_rows_pin_the_solver_counters() {
     assert_eq!(
         got,
         vec![
-            ("M2", Some(8), counters(52, 744, 22_588, 507_647, 1, 721)),
-            ("M3", Some(8), counters(52, 805, 19_494, 366_099, 2, 781)),
+            ("M2", Some(8), counters(52, 386, 17_681, 358_827, 0, 371)),
+            ("M3", Some(8), counters(52, 517, 18_296, 402_488, 2, 502)),
             (
                 "A1",
                 Some(9),
-                counters(18, 1_251, 54_226, 2_291_203, 6, 1_249)
+                counters(18, 1_049, 31_417, 1_449_131, 6, 1_048)
             ),
         ]
     );
+}
+
+/// [`BmcEngine`] without its shared run: it answers one spec per call, so
+/// a monolithic check runs one singleton job per property.
+struct OneSpecPerCall;
+
+impl CheckEngine for OneSpecPerCall {
+    fn name(&self) -> &'static str {
+        "bmc"
+    }
+
+    fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
+        BmcEngine.check(spec, config, cancel)
+    }
+}
+
+/// Two outputs that both read the leaky config register, so each of the
+/// two properties has a genuine counterexample at the same depth.
+fn two_leak_device() -> Module {
+    let mut b = ModuleBuilder::new("two_leak");
+    let we = b.input("we", 1);
+    let re = b.input("re", 1);
+    let data = b.input("data", 8);
+    let cfg = b.reg("cfg", 8, Bv::zero(8));
+    let next = b.mux(we, data, cfg);
+    b.set_next(cfg, next);
+    let zero = b.lit(8, 0);
+    let q = b.mux(re, cfg, zero);
+    let q2 = b.mux(re, cfg, zero);
+    b.output("q", q);
+    b.output("q2", q2);
+    b.build()
+}
+
+/// What a report answers, apart from the trace that backs a CEX: the
+/// outcome with its witness property and depth, and the verdict map.
+fn answers(report: &CheckReport) -> (String, Vec<(String, PropertyVerdict)>) {
+    let outcome = match &report.outcome {
+        AutoCcOutcome::Cex(cex) => format!("CEX {} @ {}", cex.property, cex.depth),
+        other => format!("{other:?}"),
+    };
+    (outcome, report.verdicts.clone())
+}
+
+/// The shared per-property run answers a monolithic check exactly as one
+/// singleton job per property does: the same outcome, the same witness
+/// and the same verdict map, on the cheap Table-1 rows at depth 9 (CEXs
+/// at 8, 8 and 9) and on a device whose two properties leak at the same
+/// depth (the witness is the lower property index).
+#[test]
+fn shared_run_answers_as_the_singleton_jobs() {
+    let config = options(9);
+    let mut tasks = table1_tasks_with(Granularity::Monolithic);
+    tasks.retain(|t| matches!(t.id.as_str(), "M2" | "M3" | "A1"));
+    assert_eq!(tasks.len(), 3);
+    let mut testbenches: Vec<(String, _)> = tasks
+        .into_iter()
+        .map(|task| (task.id, (task.build)()))
+        .collect();
+    testbenches.push((
+        "two-leak".to_string(),
+        FtSpec::new(&two_leak_device()).generate(),
+    ));
+    for (id, ft) in &testbenches {
+        let shared = ft.check_portfolio(&config);
+        let singleton = ft.check_portfolio_with(&config, &OneSpecPerCall);
+        assert!(shared.outcome.cex().is_some(), "{id}: {:?}", shared.outcome);
+        assert_eq!(answers(&shared), answers(&singleton), "{id}");
+    }
 }

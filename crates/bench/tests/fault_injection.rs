@@ -8,13 +8,14 @@ use autocc_bench::{
     run_campaign, CampaignOptions, CampaignTask, ProcEngine, WorkerLimits, WorkerPool,
 };
 use autocc_bmc::{
-    BmcEngine, CancelToken, Cex, CheckConfig, CheckEngine, CheckSpec, EngineOutcome, EngineRun,
-    FailureReason, Granularity, Trace, UnknownCause,
+    BmcEngine, CancelToken, Cex, CheckConfig, CheckEngine, CheckSpec, EachRun, EngineOutcome,
+    EngineRun, FailureReason, Granularity, Trace, UnknownCause,
 };
 use autocc_core::{report_exit_code, AutoCcOutcome, FtSpec, PropertyVerdict, RowStatus};
 use autocc_duts::aes::{build_aes, AesConfig};
 use autocc_duts::demo::config_device;
 use autocc_hdl::{Bv, Module, ModuleBuilder};
+use autocc_telemetry::{ProfileRecorder, SpanKind, Telemetry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -66,8 +67,18 @@ impl CheckEngine for FlakyBmc {
 }
 
 /// Panics unconditionally on one named property; real BMC everywhere else.
+/// A shared run holds every property, so it panics too and the check
+/// falls back to one job per property.
 struct TargetedPanic {
     property: String,
+}
+
+impl TargetedPanic {
+    fn strike(&self, spec: &CheckSpec<'_>) {
+        if spec.properties.iter().any(|(n, _)| *n == self.property) {
+            panic!("injected fault on {}", self.property);
+        }
+    }
 }
 
 impl CheckEngine for TargetedPanic {
@@ -76,10 +87,40 @@ impl CheckEngine for TargetedPanic {
     }
 
     fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
-        if spec.properties.iter().any(|(n, _)| *n == self.property) {
-            panic!("injected fault on {}", self.property);
-        }
+        self.strike(spec);
         BmcEngine.check(spec, config, cancel)
+    }
+
+    fn check_each(
+        &self,
+        spec: &CheckSpec<'_>,
+        config: &CheckConfig,
+        cancel: &CancelToken,
+    ) -> Option<EachRun> {
+        self.strike(spec);
+        BmcEngine.check_each(spec, config, cancel)
+    }
+}
+
+/// Real BMC whose shared run always panics.
+struct SharedRunPanics;
+
+impl CheckEngine for SharedRunPanics {
+    fn name(&self) -> &'static str {
+        "shared-run-panics"
+    }
+
+    fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
+        BmcEngine.check(spec, config, cancel)
+    }
+
+    fn check_each(
+        &self,
+        _spec: &CheckSpec<'_>,
+        _config: &CheckConfig,
+        _cancel: &CancelToken,
+    ) -> Option<EachRun> {
+        panic!("injected fault in the shared run");
     }
 }
 
@@ -204,6 +245,42 @@ fn panicking_job_degrades_only_its_property() {
             );
         }
         other => panic!("expected a contained failure, got {other:?}"),
+    }
+}
+
+/// A panic in the shared run of a monolithic check is contained and
+/// recorded on its attempt span, and the check falls back to one job per
+/// property: it answers exactly as the healthy shared run does (the CEX
+/// trace aside, which the two solvers may pick differently).
+#[test]
+fn a_panicking_shared_run_falls_back_to_the_singleton_jobs() {
+    let answers = |outcome: &AutoCcOutcome| match outcome {
+        AutoCcOutcome::Cex(cex) => format!("CEX {} @ {}", cex.property, cex.depth),
+        other => format!("{other:?}"),
+    };
+    for dut in [config_device(false), two_leak_device(), mirror_device()] {
+        let ft = FtSpec::new(&dut).generate();
+        let healthy = ft.check_portfolio(&options(12));
+        let recorder = Arc::new(ProfileRecorder::new());
+        let mut config = options(12);
+        config.telemetry = Telemetry::root(recorder.clone(), "fallback");
+        let report = ft.check_portfolio_with(&config, &SharedRunPanics);
+        assert_eq!(answers(&report.outcome), answers(&healthy.outcome));
+        assert_eq!(report.verdicts, healthy.verdicts);
+        let profile = recorder.profile();
+        let panicked: Vec<_> = profile
+            .spans
+            .iter()
+            .filter(|s| {
+                s.kind == SpanKind::Attempt && s.gauges.iter().any(|(k, _)| k == "panicked")
+            })
+            .collect();
+        assert_eq!(
+            panicked.len(),
+            1,
+            "the shared run's attempt records its panic"
+        );
+        assert_eq!(panicked[0].name, "shared-run-panics");
     }
 }
 

@@ -187,8 +187,10 @@ struct Frame {
     next_state: Vec<Lit>,
     /// SAT literal per property at this cycle.
     prop_lits: Vec<Lit>,
-    /// Assumption literal that forces "some property violated here".
-    bad: Lit,
+    /// Assumption literals: one that forces "some property violated
+    /// here", or, in the per-property mode ([`Bmc::check_each`]), one per
+    /// property that forces that property's violation.
+    bad: Vec<Lit>,
 }
 
 /// Incremental bounded model checker for one module.
@@ -203,6 +205,9 @@ pub struct Bmc<'m> {
     stats: BmcStats,
     slice: bool,
     coi: Option<SeqCoi>,
+    /// Whether the frames carry one `bad` selector per property (the
+    /// per-property mode of [`Bmc::check_each`]) instead of one in all.
+    per_property: bool,
     cancel: CancelToken,
     telemetry: Telemetry,
     /// Solver work done outside the base solver (the k-induction step
@@ -218,11 +223,19 @@ pub struct Bmc<'m> {
     step_effort: CertificationEffort,
 }
 
-/// The in-solver deadline of a run started at `start`: none without a
-/// time budget, and none when the budget reaches past what an [`Instant`]
-/// can represent (a budget that large is no limit).
-fn deadline(start: Instant, config: &CheckConfig) -> Option<Instant> {
-    config.time_budget.and_then(|tb| start.checked_add(tb))
+/// The in-solver deadline of a run started at `start` with `budget` to
+/// spend: none without a budget, and none when the budget reaches past
+/// what an [`Instant`] can represent (a budget that large is no limit).
+fn deadline(start: Instant, budget: Option<Duration>) -> Option<Instant> {
+    budget.and_then(|tb| start.checked_add(tb))
+}
+
+/// What one property of a per-property run has spent so far: the
+/// conflicts and wall time of its own solve calls.
+#[derive(Clone, Copy, Default)]
+struct Spent {
+    conflicts: u64,
+    time: Duration,
 }
 
 impl<'m> Bmc<'m> {
@@ -243,6 +256,7 @@ impl<'m> Bmc<'m> {
             stats: BmcStats::default(),
             slice: false,
             coi: None,
+            per_property: false,
             cancel: CancelToken::new(),
             telemetry: Telemetry::off(),
             aux_counters: SolverCounters::default(),
@@ -389,9 +403,14 @@ impl<'m> Bmc<'m> {
 
     /// Test-only tamper hook: injects a raw step into the base solver's
     /// proof transcript, so tests can prove that a corrupted proof stream
-    /// degrades the verdict to FAILED(certification) and never PASS.
+    /// degrades the verdict to FAILED(certification) and never PASS. On a
+    /// checker that has not searched yet, proof logging starts here, so
+    /// the step lands ahead of the first certified solve.
     #[doc(hidden)]
     pub fn inject_proof_step_for_test(&mut self, step: autocc_sat::ProofStep) {
+        if self.solver.stats().solve_calls == 0 {
+            self.solver.enable_proof_logging();
+        }
         self.solver.inject_proof_step(step);
     }
 
@@ -459,18 +478,31 @@ impl<'m> Bmc<'m> {
             let lit = self.node_lit(&mut map, c);
             self.solver.add_clause(&[lit]);
         }
-        // Property literals and the per-frame "bad" selector.
+        // Property literals and the per-frame "bad" selectors.
         let prop_lits: Vec<Lit> = self
             .properties
             .clone()
             .iter()
             .map(|(_, p)| self.node_lit(&mut map, *p))
             .collect();
-        let bad = self.solver.new_var().positive();
-        // bad → at least one property is false at this cycle.
-        let mut clause: Vec<Lit> = vec![!bad];
-        clause.extend(prop_lits.iter().map(|&p| !p));
-        self.solver.add_clause(&clause);
+        let bad = if self.per_property {
+            // bad_p → property p is false at this cycle, in property order.
+            prop_lits
+                .iter()
+                .map(|&p| {
+                    let bad = self.solver.new_var().positive();
+                    self.solver.add_clause(&[!bad, !p]);
+                    bad
+                })
+                .collect()
+        } else {
+            let bad = self.solver.new_var().positive();
+            // bad → at least one property is false at this cycle.
+            let mut clause: Vec<Lit> = vec![!bad];
+            clause.extend(prop_lits.iter().map(|&p| !p));
+            self.solver.add_clause(&clause);
+            vec![bad]
+        };
 
         // Next-state literals (wired into the following frame). Dropped
         // bits keep a constant placeholder so their cones never reach the
@@ -503,24 +535,10 @@ impl<'m> Bmc<'m> {
         map.sat_lit(&mut self.solver, &self.seq.aig, aig_lit)
     }
 
-    /// Searches for a counterexample, deepening from the current frontier.
-    ///
-    /// Calling `check` again after [`CheckOutcome::Cex`] continues deepening
-    /// and may find further (deeper) counterexamples to other properties —
-    /// but the usual AutoCC workflow is to refine the testbench and re-run.
-    pub fn check(&mut self, config: &CheckConfig) -> CheckOutcome {
-        assert!(
-            !self.properties.is_empty(),
-            "no properties registered before check"
-        );
-        if let Err(failure) = self.arm_certifier(config) {
-            return CheckOutcome::Failed(failure);
-        }
-        let start = Instant::now();
-        // Budgets are enforced *inside* the solver: the deadline and the
-        // cancellation hook are polled every few conflicts, so a single
-        // pathological SAT call cannot run past its wall-clock budget.
-        self.solver.set_deadline(deadline(start, config));
+    /// Installs the cancellation hook (and, with telemetry on, live
+    /// counter samples) on the solver, and records the slice phase before
+    /// the first frame.
+    fn start_run(&mut self) {
         let token = self.cancel.clone();
         self.solver
             .set_interrupt_hook(Some(Box::new(move || token.is_cancelled())));
@@ -540,6 +558,68 @@ impl<'m> Bmc<'m> {
             self.ensure_coi();
             span.close();
         }
+    }
+
+    /// Encodes the next frame, `depth`, under a `cnf-encode` span.
+    fn encode_frame(&mut self, depth: usize) {
+        let span = self.telemetry.child(SpanKind::Phase, "cnf-encode");
+        self.build_frame();
+        span.gauge("depth", depth as u64);
+        span.close();
+    }
+
+    /// One solve at `depth` under the selector `bad`, in a `solve` span
+    /// carrying its counters. Returns the verdict and the work it took.
+    fn solve_at(&mut self, depth: usize, bad: Lit) -> (SolveResult, autocc_sat::Stats) {
+        let span = self.telemetry.child(SpanKind::Solve, "solve");
+        span.gauge("depth", depth as u64);
+        let before = self.solver.stats();
+        let verdict = self.solver.solve_with(&[bad]);
+        let work = self.solver.stats().diff(&before);
+        span.counters(&solver_counters(&work));
+        span.close();
+        (verdict, work)
+    }
+
+    /// The outcome of a SAT answer at `depth`: the replay-validated
+    /// counterexample (extracted under a `certify` span), or the
+    /// divergence that replay exposed.
+    fn sat_outcome(&mut self, depth: usize, property: Option<usize>) -> CheckOutcome {
+        let span = self.telemetry.child(SpanKind::Phase, "certify");
+        let extracted = self.extract_cex(depth, property);
+        span.close();
+        match extracted {
+            Ok(cex) => CheckOutcome::Cex(cex),
+            Err(failure) => CheckOutcome::Failed(failure),
+        }
+    }
+
+    /// Searches for a counterexample, deepening from the current frontier.
+    ///
+    /// Calling `check` again after [`CheckOutcome::Cex`] continues deepening
+    /// and may find further (deeper) counterexamples to other properties —
+    /// but the usual AutoCC workflow is to refine the testbench and re-run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no property is registered, or if the checker ran
+    /// [`Bmc::check_each`].
+    pub fn check(&mut self, config: &CheckConfig) -> CheckOutcome {
+        assert!(
+            !self.properties.is_empty(),
+            "no properties registered before check"
+        );
+        assert!(!self.per_property, "a per-property checker cannot batch");
+        if let Err(failure) = self.arm_certifier(config) {
+            return CheckOutcome::Failed(failure);
+        }
+        let start = Instant::now();
+        // Budgets are enforced *inside* the solver: the deadline and the
+        // cancellation hook are polled every few conflicts, so a single
+        // pathological SAT call cannot run past its wall-clock budget.
+        self.solver
+            .set_deadline(deadline(start, config.time_budget));
+        self.start_run();
         let conflicts_start = self.solver.stats().conflicts;
         let mut depth = self.frames.len();
         while depth < config.max_depth {
@@ -560,12 +640,9 @@ impl<'m> Bmc<'m> {
                 }
             }
             if self.frames.len() == depth {
-                let span = self.telemetry.child(SpanKind::Phase, "cnf-encode");
-                self.build_frame();
-                span.gauge("depth", depth as u64);
-                span.close();
+                self.encode_frame(depth);
             }
-            let frame_bad = self.frames[depth].bad;
+            let frame_bad = self.frames[depth].bad[0];
             if let Some(cb) = config.conflict_budget {
                 let used = self.solver.stats().conflicts - conflicts_start;
                 if used >= cb {
@@ -579,22 +656,12 @@ impl<'m> Bmc<'m> {
             } else {
                 self.solver.set_conflict_budget(None);
             }
-            let span = self.telemetry.child(SpanKind::Solve, "solve");
-            span.gauge("depth", depth as u64);
-            let before = self.solver.stats();
-            let verdict = self.solver.solve_with(&[frame_bad]);
-            span.counters(&solver_counters(&self.solver.stats().diff(&before)));
-            span.close();
+            let (verdict, _) = self.solve_at(depth, frame_bad);
             match verdict {
                 SolveResult::Sat => {
-                    let span = self.telemetry.child(SpanKind::Phase, "certify");
-                    let extracted = self.extract_cex(depth);
-                    span.close();
+                    let outcome = self.sat_outcome(depth, None);
                     self.stats.solve_time += start.elapsed();
-                    return match extracted {
-                        Ok(cex) => CheckOutcome::Cex(cex),
-                        Err(failure) => CheckOutcome::Failed(failure),
-                    };
+                    return outcome;
                 }
                 SolveResult::Unsat => {
                     // Under --certify, the bounded proof of this depth is
@@ -638,11 +705,148 @@ impl<'m> Bmc<'m> {
         }
     }
 
+    /// The per-property mode: answers every registered property on its
+    /// own, from one unrolling. Each frame carries one `bad` selector per
+    /// property, and the search runs depth by depth and, within a depth,
+    /// in registration order: one solve per still-open property under its
+    /// own selector. Every property so gets the answer a checker holding
+    /// it alone gives (its first violation, or the bound), while the
+    /// transition relation is encoded, and learnt about, once.
+    ///
+    /// - A SAT answer is that property's counterexample, which on replay
+    ///   must violate that very property. An UNSAT answer is certified
+    ///   when certification is armed, and the property deepens.
+    /// - A property retires at its first counterexample or at
+    ///   `max_depth`; encoding stops once every property has retired.
+    /// - Budgets hold per property: each is charged the conflicts and
+    ///   wall time of its own solve calls, and each solve's deadline is
+    ///   what remains of its time budget. Cancellation stops every open
+    ///   property.
+    /// - One certifier covers the run. If it rejects the transcript,
+    ///   every property without a counterexample reads
+    ///   FAILED(certification); [`Bmc::certificate`] is the transcript
+    ///   hash that properties clean at the bound carry.
+    ///
+    /// Returns one outcome per property, in registration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no property is registered or if checking already started.
+    pub fn check_each(&mut self, config: &CheckConfig) -> Vec<CheckOutcome> {
+        assert!(
+            !self.properties.is_empty(),
+            "no properties registered before check"
+        );
+        assert!(self.frames.is_empty(), "check_each needs a fresh checker");
+        self.per_property = true;
+        let n = self.properties.len();
+        if let Err(failure) = self.arm_certifier(config) {
+            return vec![CheckOutcome::Failed(failure); n];
+        }
+        let start = Instant::now();
+        self.start_run();
+        let mut outcomes: Vec<Option<CheckOutcome>> = vec![None; n];
+        let mut spent = vec![Spent::default(); n];
+        // Deepest fully-proven depth of each property.
+        let mut proven = vec![0; n];
+        let mut cancelled = false;
+        let mut depth = 0;
+        'deepen: while depth < config.max_depth && outcomes.iter().any(Option::is_none) {
+            if self.cancel.is_cancelled() {
+                cancelled = true;
+                break;
+            }
+            self.encode_frame(depth);
+            for p in 0..n {
+                if outcomes[p].is_some() {
+                    continue;
+                }
+                let stop = |cause| Some(CheckOutcome::Exhausted { depth, cause });
+                let remaining = match config.time_budget {
+                    Some(tb) if spent[p].time > tb => {
+                        outcomes[p] = stop(StopCause::TimeBudget);
+                        continue;
+                    }
+                    budget => budget.map(|tb| tb - spent[p].time),
+                };
+                match config.conflict_budget {
+                    Some(cb) if spent[p].conflicts >= cb => {
+                        outcomes[p] = stop(StopCause::ConflictBudget);
+                        continue;
+                    }
+                    budget => self
+                        .solver
+                        .set_conflict_budget(budget.map(|cb| cb - spent[p].conflicts)),
+                }
+                let solve_start = Instant::now();
+                self.solver.set_deadline(deadline(solve_start, remaining));
+                let bad = self.frames[depth].bad[p];
+                let (verdict, work) = self.solve_at(depth, bad);
+                spent[p].conflicts += work.conflicts;
+                spent[p].time += solve_start.elapsed();
+                match verdict {
+                    SolveResult::Sat => outcomes[p] = Some(self.sat_outcome(depth, Some(p))),
+                    SolveResult::Unsat => {
+                        if let Some(certifier) = &mut self.certifier {
+                            if let Err(detail) =
+                                certifier.certify_unsat(&mut self.solver, &[bad], &self.telemetry)
+                            {
+                                // A rejected transcript discredits every
+                                // UNSAT answer of the run; only replayed
+                                // counterexamples still stand.
+                                self.stats.solve_time += start.elapsed();
+                                let failed = CheckOutcome::Failed(CheckFailure {
+                                    reason: FailureReason::Certification,
+                                    detail,
+                                    depth,
+                                });
+                                return outcomes
+                                    .into_iter()
+                                    .map(|o| match o {
+                                        Some(cex @ CheckOutcome::Cex(_)) => cex,
+                                        _ => failed.clone(),
+                                    })
+                                    .collect();
+                            }
+                        }
+                        proven[p] = depth + 1;
+                    }
+                    SolveResult::Unknown => outcomes[p] = stop(StopCause::ConflictBudget),
+                    SolveResult::Stopped if self.cancel.is_cancelled() => {
+                        cancelled = true;
+                        break 'deepen;
+                    }
+                    SolveResult::Stopped => outcomes[p] = stop(StopCause::TimeBudget),
+                }
+            }
+            depth += 1;
+        }
+        self.stats.solve_time += start.elapsed();
+        outcomes
+            .into_iter()
+            .zip(proven)
+            .map(|(outcome, proven)| {
+                outcome.unwrap_or(if cancelled {
+                    CheckOutcome::Exhausted {
+                        depth: proven,
+                        cause: StopCause::Cancelled,
+                    }
+                } else {
+                    CheckOutcome::BoundReached {
+                        depth: config.max_depth,
+                    }
+                })
+            })
+            .collect()
+    }
+
     /// Reads the violating input sequence from the SAT model and
-    /// replay-validates it against the interpreter. A replay that disagrees
-    /// with the SAT model is an encoder/simulator divergence — a checker
-    /// bug — and is returned as a structured failure, never as a finding.
-    fn extract_cex(&mut self, depth: usize) -> Result<Cex, CheckFailure> {
+    /// replay-validates it against the interpreter: the trace must violate
+    /// `property` (by index) when one is named, and some property
+    /// otherwise. A replay that disagrees with the SAT model is an
+    /// encoder/simulator divergence — a checker bug — and is returned as a
+    /// structured failure, never as a finding.
+    fn extract_cex(&mut self, depth: usize, property: Option<usize>) -> Result<Cex, CheckFailure> {
         let mut inputs = Vec::with_capacity(depth + 1);
         for frame in &self.frames[..=depth] {
             let mut cycle = Vec::with_capacity(self.module.inputs().len());
@@ -661,7 +865,7 @@ impl<'m> Bmc<'m> {
         }
         let trace = Trace::new(inputs);
 
-        // Replay validation: the interpreter must agree that some property
+        // Replay validation: the interpreter must agree that the property
         // fails at `depth` and all constraints hold throughout.
         let replay = trace.replay(self.module);
         for (t, _) in (0..=depth).enumerate() {
@@ -678,15 +882,20 @@ impl<'m> Bmc<'m> {
                 }
             }
         }
-        let violated = self
-            .properties
-            .iter()
-            .find(|(_, p)| !replay.node(depth, *p).as_bool());
-        let (name, _) = violated.ok_or_else(|| CheckFailure {
+        let violated = |(_, p): &&(String, NodeId)| !replay.node(depth, *p).as_bool();
+        let found = match property {
+            Some(i) => Some(&self.properties[i]).filter(violated),
+            None => self.properties.iter().find(violated),
+        };
+        let (name, _) = found.ok_or_else(|| CheckFailure {
             reason: FailureReason::ReplayMismatch,
-            detail: "encoder/simulator divergence: SAT model does not violate any \
-                     property on replay"
-                .to_string(),
+            detail: format!(
+                "encoder/simulator divergence: SAT model does not violate {} on replay",
+                property.map_or("any property".to_string(), |i| format!(
+                    "`{}`",
+                    self.properties[i].0
+                ))
+            ),
             depth: depth + 1,
         })?;
 
@@ -714,7 +923,7 @@ impl<'m> Bmc<'m> {
         );
         span.close();
         induction.configure_run(
-            deadline(start, config),
+            deadline(start, config.time_budget),
             self.cancel.clone(),
             self.telemetry.clone(),
             config.certify,
@@ -992,7 +1201,7 @@ impl InductionStep {
             port_lits,
             next_state,
             prop_lits,
-            bad,
+            bad: vec![bad],
         });
     }
 
@@ -1012,7 +1221,7 @@ impl InductionStep {
         }
         encode.close();
         self.solver.set_conflict_budget(config.conflict_budget);
-        let bad = self.frames[k].bad;
+        let bad = self.frames[k].bad[0];
         let span = self.telemetry.child(SpanKind::Solve, "solve");
         span.gauge("induction_k", k as u64);
         let before = self.solver.stats();

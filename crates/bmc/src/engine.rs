@@ -66,11 +66,6 @@ pub struct CheckSpec<'m> {
     pub properties: Vec<(String, NodeId)>,
     /// 1-bit constraint nodes assumed 1 on every cycle.
     pub constraints: Vec<NodeId>,
-    /// Optional property-group label. Set by the decomposed check path to
-    /// name the cone cluster this spec carries (e.g. the first member
-    /// property); engines treat it as opaque metadata for telemetry and
-    /// failure reports.
-    pub group: Option<String>,
 }
 
 impl<'m> CheckSpec<'m> {
@@ -80,7 +75,6 @@ impl<'m> CheckSpec<'m> {
             module,
             properties: Vec::new(),
             constraints: Vec::new(),
-            group: None,
         }
     }
 
@@ -99,12 +93,6 @@ impl<'m> CheckSpec<'m> {
     /// Adds a batch of constraints (builder style).
     pub fn constraints(mut self, nodes: &[NodeId]) -> Self {
         self.constraints.extend_from_slice(nodes);
-        self
-    }
-
-    /// Labels the spec with its property-group (cluster) name.
-    pub fn group(mut self, label: impl Into<String>) -> Self {
-        self.group = Some(label.into());
         self
     }
 }
@@ -269,6 +257,17 @@ impl From<EngineOutcome> for EngineRun {
     }
 }
 
+/// One engine run that answered every property of its spec on its own
+/// ([`CheckEngine::check_each`]).
+#[derive(Clone, Debug)]
+pub struct EachRun {
+    /// One outcome and the certificate it earned per spec property, in
+    /// spec order.
+    pub answers: Vec<(EngineOutcome, CertificateStatus)>,
+    /// Solver work of the whole run, counted once.
+    pub counters: SolverCounters,
+}
+
 /// The certificate a conclusive outcome earned: the checker's transcript
 /// hash for UNSAT-backed verdicts, the replayed-trace hash for
 /// counterexamples, `Uncertified` for everything inconclusive.
@@ -298,6 +297,21 @@ pub trait CheckEngine: Send + Sync {
 
     /// Runs the engine to completion, budget exhaustion, or cancellation.
     fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun;
+
+    /// Answers every property of `spec` on its own, in one run: property
+    /// `i`'s outcome is the one [`CheckEngine::check`] gives over `spec`
+    /// with that property alone (its wall-clock and conflict budgets
+    /// apply to it alone too). `None`, the default, says the engine
+    /// answers one spec per call, so callers run one `check` per
+    /// property instead.
+    fn check_each(
+        &self,
+        _spec: &CheckSpec<'_>,
+        _config: &CheckConfig,
+        _cancel: &CancelToken,
+    ) -> Option<EachRun> {
+        None
+    }
 }
 
 fn configure<'m>(spec: &CheckSpec<'m>, config: &CheckConfig, cancel: &CancelToken) -> Bmc<'m> {
@@ -324,24 +338,58 @@ impl CheckEngine for BmcEngine {
 
     fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
         let mut bmc = configure(spec, config, cancel);
-        let outcome = match bmc.check(config) {
-            CheckOutcome::Cex(cex) => EngineOutcome::Cex(cex),
-            CheckOutcome::BoundReached { depth } => EngineOutcome::BoundReached { depth },
-            CheckOutcome::Exhausted { depth, cause } => stop_outcome(depth, cause),
-            CheckOutcome::Failed(failure) => EngineOutcome::Failed(JobFailure {
-                engine: self.name().to_string(),
-                property: None,
-                depth: failure.depth,
-                reason: failure.reason,
-                detail: failure.detail,
-                attempts: 1,
-            }),
-        };
+        let outcome = self.outcome(bmc.check(config), None);
         let certificate = certificate_for(&outcome, config, bmc.certificate());
         EngineRun {
             outcome,
             counters: bmc.counters(),
             certificate,
+        }
+    }
+
+    /// One [`Bmc::check_each`] run: a property clean at the bound carries
+    /// the run's final transcript hash, a counterexample its trace hash.
+    fn check_each(
+        &self,
+        spec: &CheckSpec<'_>,
+        config: &CheckConfig,
+        cancel: &CancelToken,
+    ) -> Option<EachRun> {
+        let mut bmc = configure(spec, config, cancel);
+        let outcomes = bmc.check_each(config);
+        let unsat = bmc.certificate();
+        let answers = outcomes
+            .into_iter()
+            .zip(&spec.properties)
+            .map(|(outcome, (name, _))| {
+                let outcome = self.outcome(outcome, Some(name));
+                let certificate = certificate_for(&outcome, config, unsat);
+                (outcome, certificate)
+            })
+            .collect();
+        Some(EachRun {
+            answers,
+            counters: bmc.counters(),
+        })
+    }
+}
+
+impl BmcEngine {
+    /// A checker outcome as an engine outcome; a failure names `property`
+    /// when it is about one.
+    fn outcome(&self, outcome: CheckOutcome, property: Option<&str>) -> EngineOutcome {
+        match outcome {
+            CheckOutcome::Cex(cex) => EngineOutcome::Cex(cex),
+            CheckOutcome::BoundReached { depth } => EngineOutcome::BoundReached { depth },
+            CheckOutcome::Exhausted { depth, cause } => stop_outcome(depth, cause),
+            CheckOutcome::Failed(failure) => EngineOutcome::Failed(JobFailure {
+                engine: self.name().to_string(),
+                property: property.map(str::to_string),
+                depth: failure.depth,
+                reason: failure.reason,
+                detail: failure.detail,
+                attempts: 1,
+            }),
         }
     }
 }

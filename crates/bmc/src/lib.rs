@@ -9,6 +9,8 @@
 //! * Safety properties and environment constraints are 1-bit module nodes
 //!   that must hold on every cycle — the shape of every AutoCC property.
 //! * Checking deepens incrementally; learnt clauses carry across depths.
+//!   [`Bmc::check_each`] answers each property on its own from one shared
+//!   unrolling, so learnt clauses also carry across properties.
 //! * Counterexamples come back as input [`Trace`]s and are replay-validated
 //!   against the interpreter before being reported, so a reported covert
 //!   channel always reproduces in simulation.
@@ -68,7 +70,7 @@ pub use checker::{
 };
 pub use config::{solver_counters, CheckConfig, Granularity, Isolation, CLUSTER_OVERLAP};
 pub use engine::{
-    BmcEngine, CancelToken, CheckEngine, CheckSpec, EngineOutcome, EngineRun, Falsifier,
+    BmcEngine, CancelToken, CheckEngine, CheckSpec, EachRun, EngineOutcome, EngineRun, Falsifier,
     JobFailure, KInductionEngine, UnknownCause,
 };
 pub use portfolio::{EngineJob, JobPanic, Portfolio, RetryPolicy};

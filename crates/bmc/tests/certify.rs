@@ -228,3 +228,60 @@ fn falsifier_demotion_drops_the_certificate() {
         "an inconclusive (demoted) outcome carries no certificate"
     );
 }
+
+/// A per-property run shares one transcript: once it is rejected, no
+/// UNSAT answer of the run stands. The property violated at cycle 0 keeps
+/// its replayed counterexample; the tautology and the property violated
+/// later read FAILED(certification), never clean.
+#[test]
+fn tampered_per_property_transcript_fails_every_property_without_a_cex() {
+    let mut b = ModuleBuilder::new("three");
+    let c = b.reg("count", 3, Bv::zero(3));
+    let one = b.lit(3, 1);
+    let next = b.add(c, one);
+    b.set_next(c, next);
+    let zero = b.lit(3, 0);
+    let nonzero = b.ne(c, zero);
+    b.output("nonzero", nonzero);
+    let eight = b.lit(4, 8);
+    let cz = b.zext(c, 4);
+    let small = b.ult(cz, eight);
+    b.output("small", small);
+    let five = b.lit(3, 5);
+    let ne5 = b.ne(c, five);
+    b.output("ne5", ne5);
+    let m = b.build();
+    let config = CheckConfig::default().depth(8).no_timeout().certify(true);
+    let per_property = |tamper: bool| {
+        let mut bmc = Bmc::new(&m);
+        for out in ["nonzero", "small", "ne5"] {
+            bmc.add_property(out, m.output_node(out).unwrap());
+        }
+        if tamper {
+            let lemma = vec![Lit::new(Var::from_index(4000), true)];
+            bmc.inject_proof_step_for_test(ProofStep::Add(lemma, Vec::new()));
+        }
+        bmc.check_each(&config)
+    };
+
+    let clean = per_property(false);
+    assert!(matches!(&clean[0], CheckOutcome::Cex(cex) if cex.depth == 1));
+    assert!(matches!(clean[1], CheckOutcome::BoundReached { depth: 8 }));
+    assert!(matches!(&clean[2], CheckOutcome::Cex(cex) if cex.depth == 6));
+
+    let tampered = per_property(true);
+    assert!(
+        matches!(&tampered[0], CheckOutcome::Cex(cex) if cex.depth == 1),
+        "a replayed CEX needs no transcript: {:?}",
+        tampered[0]
+    );
+    for outcome in &tampered[1..] {
+        match outcome {
+            CheckOutcome::Failed(failure) => {
+                assert_eq!(failure.reason, FailureReason::Certification);
+                assert!(failure.detail.contains("rejected"), "{}", failure.detail);
+            }
+            other => panic!("tampered transcript must fail certification, got {other:?}"),
+        }
+    }
+}

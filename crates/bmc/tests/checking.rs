@@ -1,6 +1,6 @@
 //! End-to-end model-checking tests on small sequential designs.
 
-use autocc_bmc::{Bmc, CheckConfig, CheckOutcome, ProveOutcome};
+use autocc_bmc::{Bmc, CheckConfig, CheckOutcome, ProveOutcome, StopCause};
 use autocc_hdl::{Bv, Module, ModuleBuilder};
 use std::time::Duration;
 
@@ -227,5 +227,146 @@ fn a_huge_time_budget_means_no_deadline() {
     match bmc.prove(&huge) {
         ProveOutcome::Proved { .. } => {}
         other => panic!("expected a full proof, got {other:?}"),
+    }
+}
+
+/// `count != 3` and `count != 6` on a free-running 3-bit counter, plus
+/// the hard tautology `(a + b) + c == a + (b + c)` over free 10-bit
+/// inputs and `count != 0`, violated on the first cycle.
+fn mixed_properties() -> (Module, Vec<(String, autocc_hdl::NodeId)>) {
+    let mut b = ModuleBuilder::new("mixed");
+    let x = b.input("a", 10);
+    let y = b.input("b", 10);
+    let z = b.input("c", 10);
+    let xy = b.add(x, y);
+    let left = b.add(xy, z);
+    let yz = b.add(y, z);
+    let right = b.add(x, yz);
+    let assoc = b.eq(left, right);
+    b.output("assoc", assoc);
+    let c = b.reg("count", 3, Bv::zero(3));
+    let one = b.lit(3, 1);
+    let next = b.add(c, one);
+    b.set_next(c, next);
+    for (name, value) in [("ne3", 3), ("ne6", 6), ("nonzero", 0)] {
+        let v = b.lit(3, value);
+        let ne = b.ne(c, v);
+        b.output(name, ne);
+    }
+    let m = b.build();
+    let props = ["ne6", "assoc", "ne3", "nonzero"]
+        .iter()
+        .map(|n| (n.to_string(), m.output_node(n).unwrap()))
+        .collect();
+    (m, props)
+}
+
+fn per_property_checker<'m>(m: &'m Module, props: &[(String, autocc_hdl::NodeId)]) -> Bmc<'m> {
+    let mut bmc = Bmc::new(m);
+    for (name, p) in props {
+        bmc.add_property(name.clone(), *p);
+    }
+    bmc
+}
+
+/// The per-property mode gives every property the answer a checker
+/// holding it alone gives, and stops unrolling once every property has
+/// retired.
+#[test]
+fn check_each_answers_every_property_as_its_own_check() {
+    let (m, props) = mixed_properties();
+    let outcomes = per_property_checker(&m, &props).check_each(&options(10));
+    for ((name, p), outcome) in props.iter().zip(&outcomes) {
+        let mut alone = Bmc::new(&m);
+        alone.add_property(name.clone(), *p);
+        match (outcome, alone.check(&options(10))) {
+            (CheckOutcome::Cex(each), CheckOutcome::Cex(solo)) => {
+                assert_eq!(each.property, *name);
+                assert_eq!(each.depth, solo.depth, "{name}");
+            }
+            (CheckOutcome::BoundReached { depth: a }, CheckOutcome::BoundReached { depth: b }) => {
+                assert_eq!(*a, b, "{name}")
+            }
+            other => panic!("{name}: per-property and solo answers differ: {other:?}"),
+        }
+    }
+    assert!(matches!(&outcomes[0], CheckOutcome::Cex(c) if c.depth == 7));
+    assert!(matches!(&outcomes[3], CheckOutcome::Cex(c) if c.depth == 1));
+
+    // Without the tautology every property retires by depth 7.
+    let violated: Vec<_> = props
+        .iter()
+        .filter(|(n, _)| n != "assoc")
+        .cloned()
+        .collect();
+    let mut bmc = per_property_checker(&m, &violated);
+    bmc.check_each(&options(16));
+    assert_eq!(
+        bmc.stats().frames,
+        7,
+        "encoding stops once every property retired"
+    );
+}
+
+/// Budgets are charged per property: the tautology spends its conflict
+/// budget alone, and the properties after it still get their answers
+/// although the run as a whole spends more than one budget. A huge time
+/// budget is no deadline, and cancellation stops every open property at
+/// the depth it had proven.
+#[test]
+fn check_each_budgets_hold_per_property() {
+    let (m, props) = mixed_properties();
+    let budget = 1000;
+    let tight = CheckConfig::default()
+        .depth(10)
+        .conflicts(Some(budget))
+        .no_timeout();
+    let mut bmc = per_property_checker(&m, &props);
+    let outcomes = bmc.check_each(&tight);
+    assert!(
+        matches!(
+            outcomes[1],
+            CheckOutcome::Exhausted {
+                depth: 0,
+                cause: StopCause::ConflictBudget
+            }
+        ),
+        "the tautology exhausts its own budget: {:?}",
+        outcomes[1]
+    );
+    let depths: Vec<Option<usize>> = outcomes
+        .iter()
+        .map(|o| match o {
+            CheckOutcome::Cex(cex) => Some(cex.depth),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(depths, [Some(7), None, Some(4), Some(1)]);
+    assert!(bmc.counters().conflicts > budget, "{:?}", bmc.counters());
+
+    let huge = CheckConfig::default()
+        .depth(10)
+        .timeout(Duration::from_secs(u64::MAX));
+    let outcomes = per_property_checker(&m, &props).check_each(&huge);
+    assert!(matches!(
+        outcomes[1],
+        CheckOutcome::BoundReached { depth: 10 }
+    ));
+
+    let mut bmc = per_property_checker(&m, &props);
+    let cancel = autocc_bmc::CancelToken::new();
+    cancel.cancel();
+    bmc.set_cancel_token(cancel);
+    for outcome in bmc.check_each(&options(10)) {
+        assert!(
+            matches!(
+                outcome,
+                CheckOutcome::Exhausted {
+                    depth: 0,
+                    cause: StopCause::Cancelled
+                }
+            ),
+            "{outcome:?}"
+        );
     }
 }

@@ -84,7 +84,10 @@ fn bfs_min_cex_depth(module: &Module, property: NodeId, max_depth: usize) -> Opt
 
 /// A small family of random sequential designs: a 4-bit register updated
 /// by a random function of itself and a 2-bit input, plus a 2-word memory.
-fn random_design(seed: (u64, u64, u64, bool)) -> (Module, NodeId, u64) {
+/// Three properties read the same state: `prop` (the observed value is
+/// not `target`), `prop_st` (the register is not `target ^ k1`) and
+/// `prop_lo` (its low two bits are not `target`'s high two).
+fn random_design(seed: (u64, u64, u64, bool)) -> (Module, Vec<(String, NodeId)>) {
     let (k1, k2, target, use_mem) = seed;
     let mut b = ModuleBuilder::new("random_design");
     let din = b.input("din", 2);
@@ -119,9 +122,24 @@ fn random_design(seed: (u64, u64, u64, bool)) -> (Module, NodeId, u64) {
     let t = b.lit(4, target & 0xf);
     let ne = b.ne(observed, t);
     b.output("prop", ne);
+    let t_st = b.lit(4, (target ^ k1) & 0xf);
+    let ne_st = b.ne(st, t_st);
+    b.output("prop_st", ne_st);
+    let lo = b.slice(st, 1, 0);
+    let t_lo = b.lit(2, (target >> 2) & 0x3);
+    let ne_lo = b.ne(lo, t_lo);
+    b.output("prop_lo", ne_lo);
     let m = b.build();
-    let prop = m.output_node("prop").expect("just declared");
-    (m, prop, target & 0xf)
+    let props = ["prop", "prop_st", "prop_lo"]
+        .iter()
+        .map(|name| {
+            (
+                name.to_string(),
+                m.output_node(name).expect("just declared"),
+            )
+        })
+        .collect();
+    (m, props)
 }
 
 proptest! {
@@ -131,7 +149,8 @@ proptest! {
     #[test]
     fn bmc_agrees_with_explicit_search(k1 in 0u64..16, k2 in 0u64..16,
                                        target in 0u64..16, use_mem in any::<bool>()) {
-        let (module, prop, _) = random_design((k1, k2, target, use_mem));
+        let (module, props) = random_design((k1, k2, target, use_mem));
+        let prop = props[0].1;
         let max_depth = 12;
         let expected = bfs_min_cex_depth(&module, prop, max_depth);
 
@@ -153,11 +172,54 @@ proptest! {
             ),
         }
     }
+
+    /// The per-property mode answers every property from one unrolling
+    /// exactly as BFS does for that property alone, with certification
+    /// off and on.
+    #[test]
+    fn per_property_mode_agrees_with_explicit_search(k1 in 0u64..16, k2 in 0u64..16,
+                                                     target in 0u64..16, use_mem in any::<bool>()) {
+        let (module, props) = random_design((k1, k2, target, use_mem));
+        let max_depth = 12;
+        for certify in [false, true] {
+            let mut bmc = Bmc::new(&module);
+            for (name, p) in &props {
+                bmc.add_property(name.clone(), *p);
+            }
+            let outcomes = bmc.check_each(&CheckConfig::default()
+                .depth(max_depth)
+                .timeout(Duration::from_secs(60))
+                .certify(certify));
+            prop_assert_eq!(outcomes.len(), props.len());
+            for ((name, p), outcome) in props.iter().zip(outcomes) {
+                match (outcome, bfs_min_cex_depth(&module, *p, max_depth)) {
+                    (CheckOutcome::Cex(cex), Some(depth)) => {
+                        prop_assert_eq!(&cex.property, name);
+                        prop_assert_eq!(cex.depth, depth, "{} certify={}", name, certify);
+                    }
+                    (CheckOutcome::BoundReached { depth }, None) => {
+                        prop_assert_eq!(depth, max_depth);
+                    }
+                    (got, want) => prop_assert!(
+                        false,
+                        "{} certify={}: per-property BMC {:?} vs BFS {:?}",
+                        name,
+                        certify,
+                        got,
+                        want
+                    ),
+                }
+            }
+            prop_assert_eq!(bmc.certificate().is_certified(), certify);
+        }
+    }
 }
 
 /// The builder's `output_node` lookup used above returns the right node.
 #[test]
 fn output_node_lookup() {
-    let (module, prop, _) = random_design((3, 7, 9, true));
-    assert_eq!(module.output_node("prop"), Some(prop));
+    let (module, props) = random_design((3, 7, 9, true));
+    for (name, prop) in props {
+        assert_eq!(module.output_node(&name), Some(prop));
+    }
 }

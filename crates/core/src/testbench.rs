@@ -9,12 +9,13 @@
 use autocc_aig::{cluster_cones, sequential_coi, AigLit, ConeCluster, SeqAig};
 use autocc_bmc::{
     content_key_with_seq, BmcEngine, CancelToken, CertificateStatus, CheckConfig, CheckEngine,
-    CheckMode, CheckSpec, ContentKey, EngineJob, EngineOutcome, EngineRun, FailureReason,
+    CheckMode, CheckSpec, ContentKey, EachRun, EngineJob, EngineOutcome, EngineRun, FailureReason,
     Falsifier, JobFailure, KInductionEngine, Portfolio, ReplayedTrace, Trace, UnknownCause,
     CLUSTER_OVERLAP,
 };
 use autocc_hdl::{Bv, Instance, Module, NodeId, RegId, Waveform};
 use autocc_telemetry::{SolverCounters, SpanKind, Telemetry};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Role of each miter input port relative to the DUT interface.
@@ -534,13 +535,18 @@ impl FpvTestbench {
     /// Runs the plan for `config`: at monolithic granularity one singleton
     /// job per exact property, in property order; at a decomposed one the
     /// [`FpvTestbench::cluster_plan`], one job per cone cluster (sliced
-    /// and bit-blasted once per cluster). Jobs start largest-cone-first
-    /// (a monolithic plan's cones all read 0, so its jobs start in
-    /// property order); each run becomes a report through the converter
-    /// behind [`FpvTestbench::check_cluster`], [`FpvTestbench::check`] and
-    /// [`FpvTestbench::prove`], and [`FpvTestbench::merge_cluster_reports`]
-    /// merges them, so the table-level outcome derives from the
-    /// exact-class properties alone.
+    /// and bit-blasted once per cluster). A monolithic plan is answered by
+    /// one shared run when the engine offers [`CheckEngine::check_each`]:
+    /// one unrolling and one solver for every exact property, each still
+    /// answered on its own (a panic in that run falls back to the
+    /// singleton jobs). Otherwise, and for decomposed
+    /// plans, its jobs run on `config.jobs` workers, largest cone first (a
+    /// monolithic plan's cones all read 0, so its jobs start in property
+    /// order). Each answer becomes a report through the converter behind
+    /// [`FpvTestbench::check_cluster`], [`FpvTestbench::check`] and
+    /// [`FpvTestbench::prove`], and
+    /// [`FpvTestbench::merge_cluster_reports`] merges them, so the
+    /// table-level outcome derives from the exact-class properties alone.
     pub fn check_portfolio_with(
         &self,
         config: &CheckConfig,
@@ -564,19 +570,45 @@ impl FpvTestbench {
             .iter()
             .map(|cluster| self.plan_job(cluster, config, engine))
             .collect();
-        // Each job's check span stays open while the scheduler runs and
-        // closes once its run has been converted.
+        // Each job's check span stays open while its answer is computed
+        // and closes once it has been converted.
         let spans: Vec<Telemetry> = jobs.iter().map(|j| j.config.telemetry.clone()).collect();
-        // Results come back positionally, so the start order affects load
-        // balance only and the merge stays jobs-invariant.
-        let mut priority: Vec<usize> = (0..plan.clusters.len()).collect();
-        priority.sort_by_key(|&i| {
-            (
-                std::cmp::Reverse(plan.clusters[i].cone_bits()),
-                plan.clusters[i].members[0],
-            )
-        });
-        let runs = Portfolio::new(config.jobs).run_engine_jobs_prioritized(jobs, Some(&priority));
+        let shared = if config.granularity.is_decomposed() {
+            None
+        } else {
+            self.shared_run(&plan, config, engine)
+        };
+        let (runs, counters) = match shared {
+            Some(shared) => {
+                let runs = shared
+                    .answers
+                    .into_iter()
+                    .map(|(outcome, certificate)| EngineRun {
+                        outcome,
+                        counters: SolverCounters::default(),
+                        certificate,
+                    })
+                    .collect();
+                (runs, Some(shared.counters))
+            }
+            None => {
+                // Results come back positionally, so the start order
+                // affects load balance only and the merge stays
+                // jobs-invariant.
+                let mut priority: Vec<usize> = (0..plan.clusters.len()).collect();
+                priority.sort_by_key(|&i| {
+                    (
+                        std::cmp::Reverse(plan.clusters[i].cone_bits()),
+                        plan.clusters[i].members[0],
+                    )
+                });
+                let portfolio = Portfolio::new(config.jobs);
+                (
+                    portfolio.run_engine_jobs_prioritized(jobs, Some(&priority)),
+                    None,
+                )
+            }
+        };
         let reports: Vec<CheckReport> = plan
             .clusters
             .iter()
@@ -590,8 +622,54 @@ impl FpvTestbench {
         let merged = self.merge_cluster_reports(&plan, reports, config);
         CheckReport {
             elapsed: start.elapsed(),
+            stats: counters.unwrap_or(merged.stats),
             ..merged
         }
+    }
+
+    /// Answers a monolithic plan (singleton jobs over the exact
+    /// properties) with one [`CheckEngine::check_each`] run of `engine`:
+    /// every exact property under the exact constraints, sliced to their
+    /// union cone when `config.slice` asks, in one `attempt` span. Each
+    /// property gets the answer its own job would give, from one
+    /// unrolling and one solver instead of one per property.
+    ///
+    /// `None` when the engine answers one spec per call, or when the run
+    /// panicked (or broke the one-answer-per-property contract): the panic
+    /// is contained and recorded on the attempt span (`panicked`), and the
+    /// caller runs the singleton jobs under their own retry policy
+    /// instead, so a fault still degrades only its own property.
+    fn shared_run(
+        &self,
+        plan: &ClusterPlan,
+        config: &CheckConfig,
+        engine: &dyn CheckEngine,
+    ) -> Option<EachRun> {
+        let mut spec = CheckSpec::new(&self.miter).constraints(&self.constraints);
+        for cluster in &plan.clusters {
+            for &i in &cluster.members {
+                let (name, p) = &self.properties[i];
+                spec = spec.property(name.clone(), *p);
+            }
+        }
+        let attempt = config.telemetry.child(SpanKind::Attempt, engine.name());
+        attempt.gauge("attempt", 1);
+        let mut run_config = config.clone();
+        run_config.telemetry = attempt.clone();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let run = engine.check_each(&spec, &run_config, &CancelToken::new())?;
+            assert_eq!(
+                run.answers.len(),
+                spec.properties.len(),
+                "one answer per property"
+            );
+            Some(run)
+        }));
+        if run.is_err() {
+            attempt.gauge("panicked", 1);
+        }
+        attempt.close();
+        run.ok().flatten()
     }
 
     /// The monolithic plan: one singleton job per exact property, in
@@ -785,9 +863,7 @@ impl FpvTestbench {
         }
         let mut job_config = config.clone().slice(config.slice || decomposed);
         job_config.telemetry = span;
-        let mut spec = CheckSpec::new(&self.miter)
-            .constraints(self.cluster_constraints(cluster))
-            .group(cluster.label.clone());
+        let mut spec = CheckSpec::new(&self.miter).constraints(self.cluster_constraints(cluster));
         for &i in &cluster.members {
             let (name, p) = &self.properties[i];
             spec = spec.property(name.clone(), *p);

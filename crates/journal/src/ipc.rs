@@ -1218,9 +1218,6 @@ fn solve_request<W: Write + Send + 'static>(
         module: &req.module,
         properties: req.properties.clone(),
         constraints: req.constraints.clone(),
-        // The cluster label is display provenance; the wire protocol
-        // doesn't carry it and the worker never reads it.
-        group: None,
     };
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         engine.check(&spec, &req.config, &CancelToken::new())

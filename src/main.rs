@@ -22,13 +22,15 @@
 //! FAILED (certification) — never to a silent PASS.
 //!
 //! The check runs through the report binaries' campaign runner
-//! (`bench::Campaign`): one check-engine job per generated assertion at
-//! `--granularity monolithic` (each sliced to its cone of influence with
-//! `--slice on`), one per sliced cone cluster at `register`, fanned
-//! across `--jobs` worker threads and merged identically for every
-//! `--jobs` value, under the runner's watchdog at its default hang factor
-//! of 4. `--prove --jobs N>1` races k-induction against a BMC falsifier,
-//! first conclusive result wins. `--journal FILE` journals the check as
+//! (`bench::Campaign`) under its watchdog at the default hang factor of
+//! 4. At `--granularity monolithic` one shared run answers every
+//! generated assertion on its own from one unrolling (sliced to their
+//! union cone of influence with `--slice on`), and `--timeout` bounds
+//! each assertion by the time of its own solves; at `register` one job
+//! per sliced cone cluster is fanned across `--jobs` worker threads and
+//! merged identically for every `--jobs` value. `--prove --jobs N>1`
+//! races k-induction against a BMC falsifier, first conclusive result
+//! wins. `--journal FILE` journals the check as
 //! the report binaries journal theirs — one record, or one per cluster at
 //! `register` — and `--resume` serves what it holds, with a `journal: N
 //! served from cache ...` line on stderr.
