@@ -14,6 +14,8 @@ pub struct FrameMap {
     lits: Vec<Option<Lit>>,
     /// A SAT literal constrained true, used for constant AIG literals.
     const_true: Lit,
+    /// The encoder's DFS stack, kept between calls.
+    stack: Vec<usize>,
 }
 
 impl FrameMap {
@@ -37,7 +39,11 @@ impl FrameMap {
                 next_input += 1;
             }
         }
-        FrameMap { lits, const_true }
+        FrameMap {
+            lits,
+            const_true,
+            stack: Vec::new(),
+        }
     }
 
     /// Returns the SAT literal for `lit`, Tseitin-encoding its cone of
@@ -56,10 +62,10 @@ impl FrameMap {
             return l;
         }
         // Iterative DFS to avoid recursion depth limits on deep logic cones.
-        let mut stack = vec![node];
-        while let Some(&n) = stack.last() {
+        self.stack.push(node);
+        while let Some(&n) = self.stack.last() {
             if self.lits[n].is_some() {
-                stack.pop();
+                self.stack.pop();
                 continue;
             }
             let AigNode::And(a, b) = aig.nodes()[n] else {
@@ -68,15 +74,15 @@ impl FrameMap {
             let need_a = self.lits[a.node()].is_none();
             let need_b = self.lits[b.node()].is_none();
             if need_a {
-                stack.push(a.node());
+                self.stack.push(a.node());
             }
             if need_b {
-                stack.push(b.node());
+                self.stack.push(b.node());
             }
             if need_a || need_b {
                 continue;
             }
-            stack.pop();
+            self.stack.pop();
             let la = self.lit_of(a);
             let lb = self.lit_of(b);
             let v = solver.new_var().positive();

@@ -90,7 +90,7 @@ impl SeqCoi {
 }
 
 /// A group of properties whose sequential cones overlap enough to be
-/// sliced and bit-blasted as one sub-model.
+/// sliced to one sub-model and checked together.
 #[derive(Clone, Debug)]
 pub struct ConeCluster {
     /// Indices into the cone slice handed to [`cluster_cones`] (i.e. the
@@ -146,58 +146,105 @@ pub fn cluster_cones(cones: &[SeqCoi], overlap: f64) -> Vec<ConeCluster> {
 /// seeds the cone; every state bit that enters the cone adds its
 /// next-state function's support, until no new state bit appears.
 pub fn sequential_coi(seq: &SeqAig, roots: &[AigLit]) -> SeqCoi {
-    let aig = &seq.aig;
-    let num_state = seq.state_cur.len();
+    let mut walk = ConeWalk::new(seq);
+    walk.extend(roots);
+    walk.into_coi()
+}
 
-    // Map AIG node index -> state bit / port bit ordinal.
-    let mut state_of_node = vec![usize::MAX; aig.num_nodes()];
-    for (j, lit) in seq.state_cur.iter().enumerate() {
-        state_of_node[lit.node()] = j;
+/// A sequential cone walk over one [`SeqAig`] that can grow root by
+/// root: [`ConeWalk::extend`] adds the cone of more roots to what the
+/// walk already covers. The cone of a union of roots is the union of
+/// their cones, so walking shared roots once and extending a clone per
+/// property gives every property exactly the cone
+/// [`sequential_coi`] gives it.
+#[derive(Clone, Debug)]
+pub struct ConeWalk<'a> {
+    seq: &'a SeqAig,
+    /// Per AIG node: whether the walk reached it.
+    visited: Vec<bool>,
+    coi: SeqCoi,
+}
+
+impl<'a> ConeWalk<'a> {
+    /// An empty walk over `seq`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the AIG inputs of `seq` are not nodes `1..`, ports
+    /// first and then state bits, the order [`SeqAig::from_module`]
+    /// creates them in: the walk maps an input node to its port or state
+    /// ordinal by node index.
+    pub fn new(seq: &'a SeqAig) -> ConeWalk<'a> {
+        let num_ports = seq.num_port_bits();
+        let num_state = seq.state_cur.len();
+        assert!(
+            seq.aig.num_inputs() == num_ports + num_state
+                && seq
+                    .input_lits
+                    .iter()
+                    .flatten()
+                    .chain(&seq.state_cur)
+                    .enumerate()
+                    .all(|(k, l)| l.node() == k + 1),
+            "SeqAig inputs must be nodes 1.., ports then state"
+        );
+        ConeWalk {
+            seq,
+            visited: vec![false; seq.aig.num_nodes()],
+            coi: SeqCoi {
+                state_keep: vec![false; num_state],
+                port_keep: vec![false; num_ports],
+            },
+        }
     }
-    let mut port_of_node = vec![usize::MAX; aig.num_nodes()];
-    let mut num_ports = 0;
-    for (k, lit) in seq.input_lits.iter().flatten().enumerate() {
-        port_of_node[lit.node()] = k;
-        num_ports = k + 1;
-    }
 
-    let mut visited = vec![false; aig.num_nodes()];
-    let mut state_keep = vec![false; num_state];
-    let mut port_keep = vec![false; num_ports];
-    // Roots still to traverse; grows as state bits enter the cone.
-    let mut pending: Vec<AigLit> = roots.to_vec();
-    let mut stack: Vec<usize> = Vec::new();
-
-    while let Some(root) = pending.pop() {
-        stack.push(root.node());
-        while let Some(n) = stack.pop() {
-            if visited[n] {
-                continue;
-            }
-            visited[n] = true;
-            match aig.nodes()[n] {
-                AigNode::False => {}
-                AigNode::Input => {
-                    if state_of_node[n] != usize::MAX {
-                        let j = state_of_node[n];
-                        state_keep[j] = true;
-                        // The bit's next-state function joins the cone.
-                        pending.push(seq.state_next[j]);
-                    } else if port_of_node[n] != usize::MAX {
-                        port_keep[port_of_node[n]] = true;
-                    }
+    /// Grows the walk by the sequential cone of `roots`.
+    pub fn extend(&mut self, roots: &[AigLit]) {
+        let nodes = self.seq.aig.nodes();
+        let num_ports = self.coi.port_keep.len();
+        // Roots still to traverse; grows as state bits enter the cone.
+        let mut pending: Vec<AigLit> = roots.to_vec();
+        let mut stack: Vec<usize> = Vec::new();
+        while let Some(root) = pending.pop() {
+            stack.push(root.node());
+            while let Some(n) = stack.pop() {
+                if self.visited[n] {
+                    continue;
                 }
-                AigNode::And(a, b) => {
-                    stack.push(a.node());
-                    stack.push(b.node());
+                self.visited[n] = true;
+                match nodes[n] {
+                    AigNode::False => {}
+                    AigNode::Input if n > num_ports => {
+                        let j = n - 1 - num_ports;
+                        self.coi.state_keep[j] = true;
+                        // The bit's next-state function joins the cone.
+                        pending.push(self.seq.state_next[j]);
+                    }
+                    AigNode::Input => self.coi.port_keep[n - 1] = true,
+                    AigNode::And(a, b) => {
+                        stack.push(a.node());
+                        stack.push(b.node());
+                    }
                 }
             }
         }
     }
 
-    SeqCoi {
-        state_keep,
-        port_keep,
+    /// The cone covered so far.
+    pub fn coi(&self) -> &SeqCoi {
+        &self.coi
+    }
+
+    /// Per AIG node, whether the walk reached it: the combinational
+    /// cones of the roots and of every kept state bit's next-state
+    /// function.
+    pub fn visited(&self) -> &[bool] {
+        &self.visited
+    }
+
+    /// The cone covered so far, by value.
+    pub fn into_coi(self) -> SeqCoi {
+        self.coi
     }
 }
 
@@ -266,6 +313,42 @@ mod tests {
 
         assert_eq!(coi.num_kept_state(), 2, "s1 and s2 kept, `unused` dropped");
         assert_eq!(coi.num_kept_ports(), 1, "d kept via s1's next-state");
+    }
+
+    /// A walk over shared roots, cloned and extended per property, gives
+    /// each property the cone one walk over all of its roots gives.
+    #[test]
+    fn extended_walk_equals_one_walk_over_the_union() {
+        let mut b = ModuleBuilder::new("shared_roots");
+        let d = b.input("d", 1);
+        let e = b.input("e", 1);
+        let s1 = b.reg("s1", 1, Bv::zero(1));
+        let s2 = b.reg("s2", 1, Bv::zero(1));
+        let s3 = b.reg("s3", 1, Bv::zero(1));
+        b.set_next(s1, d);
+        b.set_next(s2, s1);
+        b.set_next(s3, e);
+        let c = b.not(s2);
+        b.output("c", c);
+        b.output("p", s1);
+        b.output("q", s3);
+        let m = b.build();
+
+        let seq = SeqAig::from_module(&m);
+        let lit = |name: &str| seq.node_lits[m.output_node(name).unwrap().index()][0];
+        let mut shared = ConeWalk::new(&seq);
+        shared.extend(&[lit("c")]);
+        for prop in ["p", "q"] {
+            let mut walk = shared.clone();
+            walk.extend(&[lit(prop)]);
+            let keep = |coi: SeqCoi| (coi.state_keep, coi.port_keep);
+            let extended = keep(walk.into_coi());
+            for roots in [[lit(prop), lit("c")], [lit("c"), lit(prop)]] {
+                assert_eq!(extended, keep(sequential_coi(&seq, &roots)), "{prop}");
+            }
+        }
+        assert_eq!(shared.coi().num_kept_state(), 2, "s1 and s2 under c");
+        assert_eq!(shared.coi().num_kept_ports(), 1, "d under c");
     }
 
     fn cone(state: &[bool], ports: &[bool]) -> SeqCoi {

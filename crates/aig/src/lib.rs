@@ -45,5 +45,5 @@ mod graph;
 
 pub use blast::{SeqAig, StateBitInfo, StateSource};
 pub use cnf::{assert_true_lit, FrameMap};
-pub use coi::{cluster_cones, sequential_coi, ConeCluster, SeqCoi};
+pub use coi::{cluster_cones, sequential_coi, ConeCluster, ConeWalk, SeqCoi};
 pub use graph::{Aig, AigLit, AigNode};

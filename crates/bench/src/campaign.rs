@@ -493,7 +493,7 @@ impl Campaign {
         if let Some(journal) = &self.journal {
             if mode == CheckMode::Check && engine.is_none() {
                 if let Some(plan) = ft.cluster_plan(config) {
-                    return self.check_clusters(journal, id, ft, &plan, config);
+                    return self.check_clusters(journal, id, ft, plan, config);
                 }
             }
         }
@@ -524,16 +524,21 @@ impl Campaign {
     }
 
     /// The per-cluster path of [`Campaign::check`]: every cluster of
-    /// `plan` served or run as a record of its own, then merged.
+    /// `plan` served or run as a record of its own, then merged. Every
+    /// cluster runs on the one engine of the placement; the keys share
+    /// the plan's blast, and so do the jobs if that engine answers in
+    /// this process ([`ClusterPlan::release_blast_for`]).
     fn check_clusters(
         &self,
         journal: &SharedJournal,
         id: &str,
         ft: &Arc<FpvTestbench>,
-        plan: &ClusterPlan,
+        mut plan: ClusterPlan,
         config: &CheckConfig,
     ) -> (CheckReport, bool) {
-        let keys = ft.cluster_keys(plan, config, CheckMode::Check);
+        let keys = ft.cluster_keys(&plan, config, CheckMode::Check);
+        let engines: Arc<[SharedEngine]> = self.placement.engines(CheckMode::Check, 1).into();
+        plan.release_blast_for(&*engines[0]);
         let checks: Vec<_> = plan
             .clusters
             .iter()
@@ -544,6 +549,7 @@ impl Campaign {
                     id: format!("{id}:{}", cluster.label),
                     mode: CheckMode::Check,
                 };
+                let (blast, engines) = (plan.blast.clone(), Arc::clone(&engines));
                 move || {
                     let live = |attempt| {
                         // The members share one solve, but its depth still
@@ -555,10 +561,11 @@ impl Campaign {
                             .map(|&i| ft.properties()[i].0.clone())
                             .collect();
                         let scope = format!("cluster {}: ", cluster.label);
-                        let engines = self.placement.engines(CheckMode::Check, 1);
                         let (ft, cluster, run_config) =
                             (Arc::clone(ft), cluster.clone(), config.clone());
-                        let solve = move || ft.check_cluster(&cluster, &run_config, &*engines[0]);
+                        let solve = move || {
+                            ft.check_cluster(&cluster, blast.as_ref(), &run_config, &*engines[0])
+                        };
                         self.run_live(config, attempt, members.len(), scope, members, solve)
                     };
                     self.serve_or_run(journal, slot, ft, config, live)
@@ -568,7 +575,7 @@ impl Campaign {
         let results = Portfolio::new(config.jobs).run(checks);
         let served = results.iter().all(|(_, served)| *served);
         let reports = results.into_iter().map(|(report, _)| report).collect();
-        (ft.merge_cluster_reports(plan, reports, config), served)
+        (ft.merge_cluster_reports(&plan, reports, config), served)
     }
 
     /// The journal's serve-and-append policy for one record: the record

@@ -723,6 +723,11 @@ impl CheckEngine for FleetEngine {
         wire_name(self.wire)
     }
 
+    /// The worker is sent the module and blasts it itself.
+    fn in_process(&self) -> bool {
+        false
+    }
+
     fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
         let key = content_key(
             spec.module,
@@ -820,6 +825,7 @@ mod tests {
             module: &module,
             properties: vec![("small".to_string(), ok)],
             constraints: Vec::new(),
+            blast: None,
         };
         let config = CheckConfig::default().depth(8).no_timeout();
         let expected = BmcEngine.check(&spec, &config, &CancelToken::new());

@@ -554,6 +554,11 @@ impl CheckEngine for ProcEngine {
         wire_name(self.wire)
     }
 
+    /// The worker is sent the module and blasts it itself.
+    fn in_process(&self) -> bool {
+        false
+    }
+
     fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
         self.try_check(spec, config, cancel).unwrap_or_else(|e| {
             self.failure(

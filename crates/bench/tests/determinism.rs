@@ -9,15 +9,15 @@
 //! reason).
 
 use autocc_bench::{
-    run_campaign, table1, table1_tasks, table1_tasks_with, table2, CampaignOptions, WorkerLimits,
-    WorkerPool,
+    run_campaign, table1, table1_tasks, table1_tasks_with, table2, CampaignOptions, Fleet,
+    FleetConfig, Placement, WorkerLimits, WorkerPool,
 };
 use autocc_bmc::{
-    BmcEngine, CancelToken, CheckConfig, CheckEngine, CheckSpec, EngineRun, Granularity,
+    BmcEngine, CancelToken, CheckConfig, CheckEngine, CheckMode, CheckSpec, EngineRun, Granularity,
 };
 use autocc_core::{format_table_stable, AutoCcOutcome, CheckReport, FtSpec, PropertyVerdict};
 use autocc_hdl::{Bv, Module, ModuleBuilder};
-use autocc_telemetry::SolverCounters;
+use autocc_telemetry::{ProfileRecorder, SolverCounters, Telemetry};
 use std::sync::Arc;
 
 fn options(max_depth: usize) -> CheckConfig {
@@ -267,4 +267,137 @@ fn shared_run_answers_as_the_singleton_jobs() {
         assert!(shared.outcome.cex().is_some(), "{id}: {:?}", shared.outcome);
         assert_eq!(answers(&shared), answers(&singleton), "{id}");
     }
+}
+
+/// [`BmcEngine`] on a blast of its own: it drops the blast a spec carries,
+/// so every cluster job blasts the miter itself. It is the reference the
+/// shared blast must match.
+struct OwnBlast;
+
+impl CheckEngine for OwnBlast {
+    fn name(&self) -> &'static str {
+        "bmc"
+    }
+
+    fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
+        let spec = CheckSpec {
+            blast: None,
+            ..spec.clone()
+        };
+        BmcEngine.check(&spec, config, cancel)
+    }
+}
+
+/// A decomposed check blasts its miter once, for the plan, and its
+/// in-process cluster jobs check on that blast. They must answer exactly
+/// as jobs that blast for themselves: the same outcome, witness, verdict
+/// map and solver counters, on Table-1 rows M2 and A1 and on the
+/// two-leak device at register granularity and depth 5. The counters are
+/// pinned too, so the search the shared blast feeds is the one the
+/// per-job blasts fed. A profile of such a check holds one `bit-blast`
+/// span and one `cnf-encode` span per cluster per depth.
+#[test]
+fn shared_blast_answers_as_per_job_blasts() {
+    let config = options(5).granularity(Granularity::Register);
+    let mut tasks = table1_tasks_with(Granularity::Register);
+    tasks.retain(|t| matches!(t.id.as_str(), "M2" | "A1"));
+    assert_eq!(tasks.len(), 2);
+    let mut testbenches: Vec<(String, _)> = tasks
+        .into_iter()
+        .map(|task| (task.id, (task.build)()))
+        .collect();
+    testbenches.push((
+        "two-leak".to_string(),
+        FtSpec::new(&two_leak_device())
+            .granularity(Granularity::Register)
+            .generate(),
+    ));
+    let counters =
+        |solve_calls, conflicts, decisions, propagations, learnt_clauses| SolverCounters {
+            solve_calls,
+            conflicts,
+            decisions,
+            propagations,
+            restarts: 0,
+            learnt_clauses,
+            deleted_clauses: 0,
+        };
+    let pinned = [
+        counters(55, 0, 0, 7_970, 0),
+        counters(310, 179, 247, 130_540, 102),
+        counters(50, 10, 10, 2_982, 0),
+    ];
+    for ((id, ft), pinned) in testbenches.iter().zip(pinned) {
+        let shared = ft.check_portfolio(&config);
+        let own = ft.check_portfolio_with(&config, &OwnBlast);
+        assert_eq!(answers(&shared), answers(&own), "{id}");
+        assert_eq!(shared.stats, own.stats, "{id}");
+        assert_eq!(shared.stats, pinned, "{id}");
+
+        let recorder = Arc::new(ProfileRecorder::new());
+        let mut traced = config.clone();
+        traced.telemetry = Telemetry::root(recorder.clone(), id);
+        ft.check_portfolio(&traced);
+        let spans = recorder.profile().spans;
+        let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+        let clusters = ft.cluster_plan(&config).expect("decomposed").clusters.len();
+        assert_eq!(count("bit-blast"), 1, "{id}: one blast per check");
+        assert_eq!(count("cnf-encode"), clusters * 5, "{id}");
+    }
+}
+
+/// [`BmcEngine`] posing as an engine that answers in another process: it
+/// must never be handed a blast, since a worker blasts what it is sent.
+struct Remote;
+
+impl CheckEngine for Remote {
+    fn name(&self) -> &'static str {
+        "bmc"
+    }
+
+    fn in_process(&self) -> bool {
+        false
+    }
+
+    fn check(&self, spec: &CheckSpec<'_>, config: &CheckConfig, cancel: &CancelToken) -> EngineRun {
+        assert!(spec.blast.is_none(), "a remote job was handed a blast");
+        BmcEngine.check(spec, config, cancel)
+    }
+}
+
+/// A decomposed check releases its plan's blast before the jobs of an
+/// engine that answers in another process start, and still answers as
+/// the in-process check does. The engines of the isolated and the fleet
+/// placements say they answer elsewhere; the in-process ones, the BMC
+/// falsifier of a proof race included, say they do not.
+#[test]
+fn engines_in_other_processes_get_no_blast() {
+    let config = options(9).granularity(Granularity::Register);
+    let ft = FtSpec::new(&two_leak_device())
+        .granularity(Granularity::Register)
+        .generate();
+    assert!(ft.cluster_plan(&config).expect("decomposed").clusters.len() > 1);
+    let remote = ft.check_portfolio_with(&config, &Remote);
+    let local = ft.check_portfolio(&config);
+    assert!(remote.outcome.cex().is_some(), "{:?}", remote.outcome);
+    assert_eq!(answers(&remote), answers(&local));
+    assert_eq!(remote.stats, local.stats);
+
+    let pool = Arc::new(WorkerPool::new(WorkerLimits::default()));
+    let fleet = Fleet::listen("127.0.0.1:0", FleetConfig::default()).expect("fleet listens");
+    let placements = [
+        (Placement::InProcess, true),
+        (Placement::Isolated(Arc::clone(&pool)), false),
+        (Placement::Fleet(Arc::clone(&fleet), Some(pool)), false),
+    ];
+    for (placement, in_process) in &placements {
+        let engines = placement
+            .engines(CheckMode::Check, 1)
+            .into_iter()
+            .chain(placement.engines(CheckMode::Prove, 2));
+        for engine in engines {
+            assert_eq!(engine.in_process(), *in_process, "{}", engine.name());
+        }
+    }
+    fleet.shutdown();
 }

@@ -213,6 +213,7 @@ fn half_open_socket_never_registers_and_jobs_fall_back() {
         module: &module,
         properties: vec![("small".to_string(), small)],
         constraints: Vec::new(),
+        blast: None,
     };
     let config = options(8);
     let expected = BmcEngine.check(&spec, &config, &CancelToken::new());
@@ -264,6 +265,7 @@ fn late_result_after_lease_expiry_is_dropped_as_duplicate() {
         module: &module,
         properties: vec![("small".to_string(), small)],
         constraints: Vec::new(),
+        blast: None,
     };
     let check_config = options(8).timeout(Duration::from_millis(300));
     let expected = BmcEngine.check(&spec, &check_config, &CancelToken::new());

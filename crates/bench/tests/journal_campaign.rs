@@ -4,10 +4,10 @@
 //! CEXs are caught by replay certification, and the supervisor watchdog
 //! journals hangs as contained failures that resume skips.
 
-use autocc_bench::{run_campaign, CampaignError, CampaignOptions, CampaignTask};
+use autocc_bench::{run_campaign, table1_tasks_with, CampaignError, CampaignOptions, CampaignTask};
 use autocc_bmc::{
-    BmcEngine, CancelToken, CheckConfig, CheckEngine, CheckSpec, EngineRun, FailureReason,
-    Granularity, Trace,
+    content_key, BmcEngine, CancelToken, CheckConfig, CheckEngine, CheckMode, CheckSpec,
+    ContentKey, EngineRun, FailureReason, Granularity, Trace,
 };
 use autocc_core::{AutoCcOutcome, CovertChannelCex, FpvTestbench, FtSpec, RowStatus};
 use autocc_duts::demo::config_device;
@@ -342,4 +342,74 @@ fn a_huge_time_budget_disarms_the_watchdog() {
     assert!(clustered.rows[0].outcome.starts_with("CEX"));
     assert_eq!(clustered.stats.hangs, 0);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Journals are addressed by content key, so a key drift silently re-runs
+/// every cluster of every journal written before it. These are the keys
+/// of `config_device`'s register clusters, of Maple M2's register
+/// clusters and of M2's monolithic check, at depth 8.
+#[test]
+fn content_key_values_are_pinned() {
+    let config = CheckConfig::default()
+        .depth(8)
+        .granularity(Granularity::Register);
+    let cluster_keys = |ft: &FpvTestbench| -> Vec<String> {
+        let plan = ft
+            .cluster_plan(&config)
+            .expect("register granularity decomposes");
+        ft.cluster_keys(&plan, &config, CheckMode::Check)
+            .iter()
+            .map(ContentKey::to_string)
+            .collect()
+    };
+    let device = FtSpec::new(&config_device(false))
+        .granularity(Granularity::Register)
+        .generate();
+    let m2 = |granularity| {
+        let task = table1_tasks_with(granularity)
+            .into_iter()
+            .find(|t| t.id == "M2")
+            .expect("Table 1 has M2");
+        (task.build)()
+    };
+    let m2_register = m2(Granularity::Register);
+    let m2_monolithic = m2(Granularity::Monolithic);
+    let monolithic = content_key(
+        m2_monolithic.miter(),
+        m2_monolithic.properties(),
+        m2_monolithic.constraints(),
+        &config.clone().granularity(Granularity::Monolithic),
+        CheckMode::Check,
+    );
+    assert_eq!(
+        cluster_keys(&device),
+        [
+            "29f92ee680edf83f",
+            "5197ff174be6b5b3",
+            "22ced1dfa0ee575c",
+            "f7a5b4ba89fc05d9",
+            "07c202206e1e6aca",
+            "12e4d43d2d67b457",
+            "e7d18d9c5e07de00",
+            "790b9758d3fc93ad",
+            "640ff72accfc3c7e",
+        ]
+    );
+    assert_eq!(
+        cluster_keys(&m2_register),
+        [
+            "ac64cc7342d16631",
+            "941174595ad5629e",
+            "b40827fec6ad9ccc",
+            "174017cc0c1addcd",
+            "8ba3271cda226f51",
+            "2f6dc6be45ad4251",
+            "ab6ba5e4fa93d61f",
+            "a563f722044f4864",
+            "e97bef35daca55be",
+            "94967daa406ff921",
+            "6899ce8c6ccdfff5",
+        ]
+    );
+    assert_eq!(monolithic.to_string(), "a52de391201a500c");
 }

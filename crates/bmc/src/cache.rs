@@ -26,7 +26,7 @@
 
 use crate::config::{CheckConfig, CLUSTER_OVERLAP};
 use crate::portfolio::RetryPolicy;
-use autocc_aig::{sequential_coi, AigLit, AigNode, SeqAig};
+use autocc_aig::{AigLit, AigNode, ConeWalk, SeqAig};
 use autocc_hdl::{Module, NodeId};
 use std::fmt;
 
@@ -213,29 +213,13 @@ pub fn content_key_with_seq(
     for c in constraints {
         roots.extend_from_slice(&seq.node_lits[c.index()]);
     }
-    let coi = sequential_coi(seq, &roots);
-
-    // Combinational reachability of the sliced design: the cones of the
-    // roots plus the next-state functions of every kept state bit (the
-    // same frontier `sequential_coi` saturated, kept here as a node set).
+    // One walk gives the sequential COI and the combinational
+    // reachability of the sliced design: the cones of the roots plus the
+    // next-state functions of every kept state bit.
+    let mut walk = ConeWalk::new(seq);
+    walk.extend(&roots);
+    let (coi, visited) = (walk.coi(), walk.visited());
     let nodes = seq.aig.nodes();
-    let mut visited = vec![false; nodes.len()];
-    let mut stack: Vec<usize> = roots.iter().map(|l| l.node()).collect();
-    for (i, keep) in coi.state_keep.iter().enumerate() {
-        if *keep {
-            stack.push(seq.state_next[i].node());
-        }
-    }
-    while let Some(n) = stack.pop() {
-        if visited[n] {
-            continue;
-        }
-        visited[n] = true;
-        if let AigNode::And(a, b) = nodes[n] {
-            stack.push(a.node());
-            stack.push(b.node());
-        }
-    }
 
     let mut h = Fnv::new();
     h.str("autocc-content-key-v1");

@@ -20,6 +20,7 @@ use autocc_aig::{assert_true_lit, sequential_coi, FrameMap, SeqAig, SeqCoi};
 use autocc_hdl::{Bv, Module, NodeId};
 use autocc_sat::{Lit, SolveResult, Solver};
 use autocc_telemetry::{SolverCounters, SpanKind, Telemetry};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A counterexample to a property.
@@ -196,7 +197,9 @@ struct Frame {
 /// Incremental bounded model checker for one module.
 pub struct Bmc<'m> {
     module: &'m Module,
-    seq: SeqAig,
+    /// The bit-blast of `module`, shared with the k-induction step and
+    /// with whoever blasted it for this checker.
+    seq: Arc<SeqAig>,
     solver: Solver,
     const_true: Lit,
     constraints: Vec<NodeId>,
@@ -242,7 +245,24 @@ impl<'m> Bmc<'m> {
     /// Creates a checker for `module`. Constraints and properties must be
     /// added before the first [`Bmc::check`] call.
     pub fn new(module: &'m Module) -> Bmc<'m> {
-        let seq = SeqAig::from_module(module);
+        Bmc::with_blast(module, Arc::new(SeqAig::from_module(module)))
+    }
+
+    /// Creates a checker for `module` over `seq`, a bit-blast of that
+    /// very module made once for several checkers of it. A blast decides
+    /// nothing by itself, so the checker encodes and searches exactly as
+    /// one from [`Bmc::new`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` holds a different number of word-level nodes than
+    /// `module`, i.e. it blasts some other module.
+    pub fn with_blast(module: &'m Module, seq: Arc<SeqAig>) -> Bmc<'m> {
+        assert_eq!(
+            seq.node_lits.len(),
+            module.num_nodes(),
+            "the blast must come from the checked module"
+        );
         let mut solver = Solver::new();
         let const_true = assert_true_lit(&mut solver);
         Bmc {
@@ -309,12 +329,10 @@ impl<'m> Bmc<'m> {
         self.coi.as_ref()
     }
 
-    /// Computes the COI once, from the property and constraint roots.
-    fn ensure_coi(&mut self) -> Option<SeqCoi> {
-        if !self.slice {
-            return None;
-        }
-        if self.coi.is_none() {
+    /// Computes the COI once, from the property and constraint roots,
+    /// when slicing is on.
+    fn ensure_coi(&mut self) {
+        if self.slice && self.coi.is_none() {
             let roots: Vec<_> = self
                 .properties
                 .iter()
@@ -324,7 +342,6 @@ impl<'m> Bmc<'m> {
                 .collect();
             self.coi = Some(sequential_coi(&self.seq, &roots));
         }
-        self.coi.clone()
     }
 
     /// The module under check.
@@ -444,80 +461,86 @@ impl<'m> Bmc<'m> {
     }
 
     fn build_frame(&mut self) {
-        let coi = self.ensure_coi();
-        let keep_port = |k: usize| coi.as_ref().is_none_or(|c| c.port_keep[k]);
-        let keep_state = |j: usize| coi.as_ref().is_none_or(|c| c.state_keep[j]);
-        let t = self.frames.len();
-        let state_lits: Vec<Lit> = if t == 0 {
-            self.seq
-                .state_init
-                .iter()
-                .map(|&b| if b { self.const_true } else { !self.const_true })
-                .collect()
-        } else {
-            self.frames[t - 1].next_state.clone()
-        };
+        self.ensure_coi();
+        let coi = self.coi.as_ref();
+        let keep_state = |j: usize| coi.is_none_or(|c| c.state_keep[j]);
+        let seq = &*self.seq;
+        let solver = &mut self.solver;
+        let const_true = self.const_true;
         // Out-of-cone port bits get a constant placeholder instead of a
         // fresh variable; no encoded cone ever reads them (the COI is
-        // transitively closed), so the placeholder value is never observed.
-        let port_lits: Vec<Lit> = (0..self.seq.num_port_bits())
+        // transitively closed), so the placeholder value is never
+        // observed.
+        let port_lits: Vec<Lit> = (0..seq.num_port_bits())
             .map(|k| {
-                if keep_port(k) {
-                    self.solver.new_var().positive()
+                if coi.is_none_or(|c| c.port_keep[k]) {
+                    solver.new_var().positive()
                 } else {
-                    !self.const_true
+                    !const_true
                 }
             })
             .collect();
-        let mut aig_inputs = port_lits.clone();
-        aig_inputs.extend_from_slice(&state_lits);
-        let mut map = FrameMap::new(&self.seq.aig, &aig_inputs, self.const_true);
+        // The frame's AIG inputs: port bits, then state bits.
+        let mut aig_inputs: Vec<Lit> = Vec::with_capacity(seq.num_aig_inputs());
+        aig_inputs.extend_from_slice(&port_lits);
+        match self.frames.last() {
+            None => aig_inputs.extend(seq.state_init.iter().map(|&b| {
+                if b {
+                    const_true
+                } else {
+                    !const_true
+                }
+            })),
+            Some(prev) => aig_inputs.extend_from_slice(&prev.next_state),
+        }
+        let mut map = FrameMap::new(&seq.aig, &aig_inputs, const_true);
+        let mut node_lit = |solver: &mut Solver, node: NodeId| {
+            map.sat_lit(solver, &seq.aig, seq.node_lits[node.index()][0])
+        };
 
         // Constraints hold on every encoded cycle (hard clauses).
-        for &c in &self.constraints.clone() {
-            let lit = self.node_lit(&mut map, c);
-            self.solver.add_clause(&[lit]);
+        for &c in &self.constraints {
+            let lit = node_lit(solver, c);
+            solver.add_clause(&[lit]);
         }
         // Property literals and the per-frame "bad" selectors.
         let prop_lits: Vec<Lit> = self
             .properties
-            .clone()
             .iter()
-            .map(|(_, p)| self.node_lit(&mut map, *p))
+            .map(|(_, p)| node_lit(solver, *p))
             .collect();
         let bad = if self.per_property {
             // bad_p → property p is false at this cycle, in property order.
             prop_lits
                 .iter()
                 .map(|&p| {
-                    let bad = self.solver.new_var().positive();
-                    self.solver.add_clause(&[!bad, !p]);
+                    let bad = solver.new_var().positive();
+                    solver.add_clause(&[!bad, !p]);
                     bad
                 })
                 .collect()
         } else {
-            let bad = self.solver.new_var().positive();
+            let bad = solver.new_var().positive();
             // bad → at least one property is false at this cycle.
-            let mut clause: Vec<Lit> = vec![!bad];
+            let mut clause: Vec<Lit> = Vec::with_capacity(prop_lits.len() + 1);
+            clause.push(!bad);
             clause.extend(prop_lits.iter().map(|&p| !p));
-            self.solver.add_clause(&clause);
+            solver.add_clause(&clause);
             vec![bad]
         };
 
         // Next-state literals (wired into the following frame). Dropped
         // bits keep a constant placeholder so their cones never reach the
         // lazy encoder.
-        let next_state: Vec<Lit> = self
-            .seq
+        let next_state: Vec<Lit> = seq
             .state_next
-            .clone()
             .iter()
             .enumerate()
             .map(|(j, &l)| {
                 if keep_state(j) {
-                    map.sat_lit(&mut self.solver, &self.seq.aig, l)
+                    map.sat_lit(solver, &seq.aig, l)
                 } else {
-                    !self.const_true
+                    !const_true
                 }
             })
             .collect();
@@ -528,11 +551,6 @@ impl<'m> Bmc<'m> {
             prop_lits,
             bad,
         });
-    }
-
-    fn node_lit(&mut self, map: &mut FrameMap, node: NodeId) -> Lit {
-        let aig_lit = self.seq.node_lits[node.index()][0];
-        map.sat_lit(&mut self.solver, &self.seq.aig, aig_lit)
     }
 
     /// Installs the cancellation hook (and, with telemetry on, live
@@ -913,15 +931,13 @@ impl<'m> Bmc<'m> {
     /// properties — they are proven too.
     pub fn prove(&mut self, config: &CheckConfig) -> ProveOutcome {
         let start = Instant::now();
-        let coi = self.ensure_coi();
-        let span = self.telemetry.child(SpanKind::Phase, "bit-blast");
+        self.ensure_coi();
         let mut induction = InductionStep::new(
-            self.module,
+            Arc::clone(&self.seq),
             self.properties.clone(),
             self.constraints.clone(),
-            coi,
+            self.coi.clone(),
         );
-        span.close();
         induction.configure_run(
             deadline(start, config.time_budget),
             self.cancel.clone(),
@@ -1026,7 +1042,8 @@ enum StepResult {
 /// initial state, properties asserted on all but the last frame, pairwise
 /// state-distinctness (simple path), violation solved at the last frame.
 struct InductionStep {
-    seq: SeqAig,
+    /// The base checker's blast.
+    seq: Arc<SeqAig>,
     properties: Vec<(String, NodeId)>,
     constraints: Vec<NodeId>,
     solver: Solver,
@@ -1044,7 +1061,7 @@ struct InductionStep {
 
 impl InductionStep {
     fn new(
-        module: &Module,
+        seq: Arc<SeqAig>,
         properties: Vec<(String, NodeId)>,
         constraints: Vec<NodeId>,
         coi: Option<SeqCoi>,
@@ -1052,7 +1069,7 @@ impl InductionStep {
         let mut solver = Solver::new();
         let const_true = assert_true_lit(&mut solver);
         InductionStep {
-            seq: SeqAig::from_module(module),
+            seq,
             properties,
             constraints,
             solver,
@@ -1104,71 +1121,67 @@ impl InductionStep {
             .map_or_else(CertificationEffort::default, UnsatCertifier::effort)
     }
 
-    fn keep_state(&self, j: usize) -> bool {
-        self.coi.as_ref().is_none_or(|c| c.state_keep[j])
-    }
-
     fn build_frame(&mut self) {
-        let t = self.frames.len();
-        let state_lits: Vec<Lit> = if t == 0 {
+        let coi = self.coi.as_ref();
+        let keep_state = |j: usize| coi.is_none_or(|c| c.state_keep[j]);
+        let seq = &*self.seq;
+        let solver = &mut self.solver;
+        let const_true = self.const_true;
+        let state_lits: Vec<Lit> = match self.frames.last() {
             // Free symbolic initial state; out-of-cone bits are constant
             // placeholders (the kept bits form a closed sub-FSM, so the
             // step case over them is unchanged by the dropped ones).
-            (0..self.seq.state_cur.len())
+            None => (0..seq.state_cur.len())
                 .map(|j| {
-                    if self.keep_state(j) {
-                        self.solver.new_var().positive()
+                    if keep_state(j) {
+                        solver.new_var().positive()
                     } else {
-                        !self.const_true
+                        !const_true
                     }
                 })
-                .collect()
-        } else {
-            self.frames[t - 1].next_state.clone()
+                .collect(),
+            Some(prev) => prev.next_state.clone(),
         };
-        let port_lits: Vec<Lit> = (0..self.seq.num_port_bits())
+        let port_lits: Vec<Lit> = (0..seq.num_port_bits())
             .map(|k| {
-                if self.coi.as_ref().is_none_or(|c| c.port_keep[k]) {
-                    self.solver.new_var().positive()
+                if coi.is_none_or(|c| c.port_keep[k]) {
+                    solver.new_var().positive()
                 } else {
-                    !self.const_true
+                    !const_true
                 }
             })
             .collect();
         let mut aig_inputs = port_lits.clone();
         aig_inputs.extend_from_slice(&state_lits);
-        let mut map = FrameMap::new(&self.seq.aig, &aig_inputs, self.const_true);
+        let mut map = FrameMap::new(&seq.aig, &aig_inputs, const_true);
+        let mut node_lit = |solver: &mut Solver, node: NodeId| {
+            map.sat_lit(solver, &seq.aig, seq.node_lits[node.index()][0])
+        };
 
-        for &c in &self.constraints.clone() {
-            let aig_lit = self.seq.node_lits[c.index()][0];
-            let lit = map.sat_lit(&mut self.solver, &self.seq.aig, aig_lit);
-            self.solver.add_clause(&[lit]);
+        for &c in &self.constraints {
+            let lit = node_lit(solver, c);
+            solver.add_clause(&[lit]);
         }
         let prop_lits: Vec<Lit> = self
             .properties
-            .clone()
             .iter()
-            .map(|(_, p)| {
-                let aig_lit = self.seq.node_lits[p.index()][0];
-                map.sat_lit(&mut self.solver, &self.seq.aig, aig_lit)
-            })
+            .map(|(_, p)| node_lit(solver, *p))
             .collect();
-        let bad = self.solver.new_var().positive();
-        let mut clause: Vec<Lit> = vec![!bad];
+        let bad = solver.new_var().positive();
+        let mut clause: Vec<Lit> = Vec::with_capacity(prop_lits.len() + 1);
+        clause.push(!bad);
         clause.extend(prop_lits.iter().map(|&p| !p));
-        self.solver.add_clause(&clause);
+        solver.add_clause(&clause);
 
-        let next_state: Vec<Lit> = self
-            .seq
+        let next_state: Vec<Lit> = seq
             .state_next
-            .clone()
             .iter()
             .enumerate()
             .map(|(j, &l)| {
-                if self.keep_state(j) {
-                    map.sat_lit(&mut self.solver, &self.seq.aig, l)
+                if keep_state(j) {
+                    map.sat_lit(solver, &seq.aig, l)
                 } else {
-                    !self.const_true
+                    !const_true
                 }
             })
             .collect();
@@ -1179,24 +1192,23 @@ impl InductionStep {
         // Only in-cone bits participate: dropped bits carry placeholder
         // constants, and distinctness over the kept sub-FSM is what the
         // sliced step case needs.
-        let states = state_lits.clone();
-        for earlier in self.frame_states.clone() {
-            let mut diff_bits = Vec::with_capacity(states.len());
-            for (j, (&a, &b)) in earlier.iter().zip(&states).enumerate() {
-                if !self.keep_state(j) {
+        for earlier in &self.frame_states {
+            let mut diff_bits = Vec::with_capacity(state_lits.len());
+            for (j, (&a, &b)) in earlier.iter().zip(&state_lits).enumerate() {
+                if !keep_state(j) {
                     continue;
                 }
-                let x = self.solver.new_var().positive();
-                self.solver.add_clause(&[!x, a, b]);
-                self.solver.add_clause(&[!x, !a, !b]);
+                let x = solver.new_var().positive();
+                solver.add_clause(&[!x, a, b]);
+                solver.add_clause(&[!x, !a, !b]);
                 diff_bits.push(x);
             }
             if !diff_bits.is_empty() {
-                self.solver.add_clause(&diff_bits);
+                solver.add_clause(&diff_bits);
             }
         }
 
-        self.frame_states.push(states);
+        self.frame_states.push(state_lits);
         self.frames.push(Frame {
             port_lits,
             next_state,

@@ -75,8 +75,9 @@ pub enum Granularity {
     Monolithic,
     /// Additionally emit one equality property per DUT register and per
     /// memory word (`st__*` attribution properties); every property is
-    /// checked in a cone cluster that is sliced and bit-blasted once and
-    /// cached under its own content key. Verdicts then name the leaking
+    /// checked in a cone cluster that is sliced to its own cone and
+    /// cached under its own content key, while the check bit-blasts the
+    /// miter once for all of its clusters. Verdicts then name the leaking
     /// state element.
     Register,
 }

@@ -26,6 +26,7 @@
 use crate::certify::{cex_hash, CertificateStatus};
 use crate::checker::{Bmc, Cex, CheckOutcome, FailureReason, ProveOutcome, StopCause};
 use crate::config::CheckConfig;
+use autocc_aig::SeqAig;
 use autocc_hdl::{Module, NodeId};
 use autocc_telemetry::SolverCounters;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,6 +67,11 @@ pub struct CheckSpec<'m> {
     pub properties: Vec<(String, NodeId)>,
     /// 1-bit constraint nodes assumed 1 on every cycle.
     pub constraints: Vec<NodeId>,
+    /// A bit-blast of `module` made once for several specs over it, which
+    /// an engine answering in this process checks on instead of blasting
+    /// again. It changes no answer; engines that ship the module to
+    /// another process ignore it.
+    pub blast: Option<Arc<SeqAig>>,
 }
 
 impl<'m> CheckSpec<'m> {
@@ -75,7 +81,15 @@ impl<'m> CheckSpec<'m> {
             module,
             properties: Vec::new(),
             constraints: Vec::new(),
+            blast: None,
         }
+    }
+
+    /// Attaches a bit-blast of the spec's module (builder style);
+    /// [`Bmc::with_blast`] checks that it blasts that module.
+    pub fn blast(mut self, seq: Arc<SeqAig>) -> Self {
+        self.blast = Some(seq);
+        self
     }
 
     /// Adds a property (builder style).
@@ -312,10 +326,27 @@ pub trait CheckEngine: Send + Sync {
     ) -> Option<EachRun> {
         None
     }
+
+    /// Whether the engine answers in this process, so that a spec's
+    /// [`CheckSpec::blast`] saves it a blast. `false` for engines that
+    /// ship the module elsewhere: callers then attach no blast and hold
+    /// none while their jobs run. The default says yes.
+    fn in_process(&self) -> bool {
+        true
+    }
 }
 
+/// A checker for `spec`: on the spec's blast when it carries one,
+/// otherwise blasting the module under a `bit-blast` span.
 fn configure<'m>(spec: &CheckSpec<'m>, config: &CheckConfig, cancel: &CancelToken) -> Bmc<'m> {
-    let mut bmc = Bmc::with_telemetry(spec.module, config.telemetry.clone());
+    let mut bmc = match &spec.blast {
+        Some(seq) => {
+            let mut bmc = Bmc::with_blast(spec.module, Arc::clone(seq));
+            bmc.set_telemetry(config.telemetry.clone());
+            bmc
+        }
+        None => Bmc::with_telemetry(spec.module, config.telemetry.clone()),
+    };
     for &c in &spec.constraints {
         bmc.add_constraint(c);
     }

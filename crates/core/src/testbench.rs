@@ -6,7 +6,7 @@
 //! root-cause analysis of Sec. 4 already applied: the microarchitectural
 //! state that differed between universes when the spy process started.
 
-use autocc_aig::{cluster_cones, sequential_coi, AigLit, ConeCluster, SeqAig};
+use autocc_aig::{cluster_cones, AigLit, ConeCluster, ConeWalk, SeqAig};
 use autocc_bmc::{
     content_key_with_seq, BmcEngine, CancelToken, CertificateStatus, CheckConfig, CheckEngine,
     CheckMode, CheckSpec, ContentKey, EachRun, EngineJob, EngineOutcome, EngineRun, FailureReason,
@@ -16,6 +16,7 @@ use autocc_bmc::{
 use autocc_hdl::{Bv, Instance, Module, NodeId, RegId, Waveform};
 use autocc_telemetry::{SolverCounters, SpanKind, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Role of each miter input port relative to the DUT interface.
@@ -324,8 +325,9 @@ fn gate_certificate(outcome: &AutoCcOutcome, candidate: CertificateStatus) -> Ce
 }
 
 /// One group of same-class properties whose sequential cones overlap
-/// enough (Jaccard, [`CLUSTER_OVERLAP`]) to be sliced and bit-blasted as a
-/// single sub-miter; in the monolithic plan, one exact property.
+/// enough (Jaccard, [`CLUSTER_OVERLAP`]) to be sliced to a single
+/// sub-miter and checked in one job; in the monolithic plan, one exact
+/// property.
 #[derive(Clone, Debug)]
 pub struct PropertyCluster {
     /// Indices into [`FpvTestbench::properties`], ascending.
@@ -364,6 +366,11 @@ pub struct ClusterPlan {
     pub total_state_bits: usize,
     /// Input-port bits of the whole miter.
     pub total_port_bits: usize,
+    /// The miter's bit-blast the decomposed plan was computed on, which
+    /// its keys and in-process jobs reuse. `None` for the monolithic
+    /// plan, which blasts nothing, and once released for jobs that run
+    /// in another process.
+    pub blast: Option<Arc<SeqAig>>,
 }
 
 impl ClusterPlan {
@@ -388,6 +395,16 @@ impl ClusterPlan {
             .map(|c| c.cone_bits())
             .max()
             .unwrap_or(0)
+    }
+
+    /// Releases the plan's blast unless `engine` answers in this process
+    /// ([`CheckEngine::in_process`]): a worker blasts the module it is
+    /// sent, so a blast held while its jobs run would only cost memory.
+    /// Call it once the keys are computed and before any job starts.
+    pub fn release_blast_for(&mut self, engine: &dyn CheckEngine) {
+        if !engine.in_process() {
+            self.blast = None;
+        }
     }
 }
 
@@ -471,7 +488,12 @@ impl FpvTestbench {
     /// The constraint set a property of the given name is checked (and
     /// replayed) under.
     pub fn class_constraints(&self, property: &str) -> &[NodeId] {
-        match property_class(property) {
+        self.constraints_of(property_class(property))
+    }
+
+    /// The constraint set the properties of `class` run under.
+    fn constraints_of(&self, class: PropertyClass) -> &[NodeId] {
+        match class {
             PropertyClass::Exact => &self.constraints,
             PropertyClass::Attribution => &self.obs_constraints,
         }
@@ -534,8 +556,12 @@ impl FpvTestbench {
     ///
     /// Runs the plan for `config`: at monolithic granularity one singleton
     /// job per exact property, in property order; at a decomposed one the
-    /// [`FpvTestbench::cluster_plan`], one job per cone cluster (sliced
-    /// and bit-blasted once per cluster). A monolithic plan is answered by
+    /// [`FpvTestbench::cluster_plan`], one job per cone cluster, each
+    /// sliced to its cone. The decomposed check bit-blasts the miter once,
+    /// for the plan, and every job of an engine that answers in this
+    /// process ([`CheckEngine::in_process`]) reuses that blast; for any
+    /// other engine the plan drops it before the jobs start, and each
+    /// worker blasts what it is sent. A monolithic plan is answered by
     /// one shared run when the engine offers [`CheckEngine::check_each`]:
     /// one unrolling and one solver for every exact property, each still
     /// answered on its own (a panic in that run falls back to the
@@ -553,7 +579,7 @@ impl FpvTestbench {
         engine: &dyn CheckEngine,
     ) -> CheckReport {
         let start = Instant::now();
-        let plan = match self.cluster_plan(config) {
+        let mut plan = match self.cluster_plan(config) {
             Some(plan) => {
                 config
                     .telemetry
@@ -565,10 +591,11 @@ impl FpvTestbench {
             }
             None => self.monolithic_plan(),
         };
+        plan.release_blast_for(engine);
         let jobs: Vec<EngineJob<'_, '_>> = plan
             .clusters
             .iter()
-            .map(|cluster| self.plan_job(cluster, config, engine))
+            .map(|cluster| self.plan_job(cluster, plan.blast.as_ref(), config, engine))
             .collect();
         // Each job's check span stays open while its answer is computed
         // and closes once it has been converted.
@@ -690,15 +717,21 @@ impl FpvTestbench {
             clusters,
             total_state_bits: 0,
             total_port_bits: 0,
+            blast: None,
         }
     }
 
     /// Computes the decomposed check plan for this testbench under
     /// `config`, or `None` at [`autocc_bmc::Granularity::Monolithic`].
     ///
+    /// The plan bit-blasts the miter once, under a `bit-blast` phase span
+    /// of `config.telemetry`, and keeps the blast for the check's keys and
+    /// jobs ([`ClusterPlan::blast`]).
+    ///
     /// Per property, the plan computes the sequential COI of the property
     /// root *plus its class constraint set* — exactly the slice the
-    /// cluster's engine job encodes. Attribution properties are then
+    /// cluster's engine job encodes. The constraint cone is walked once per
+    /// class and extended per property. Attribution properties are then
     /// greedily clustered when their cones overlap by at least
     /// [`CLUSTER_OVERLAP`] (Jaccard); exact properties stay singleton
     /// clusters so the decomposed table reproduces the monolithic plan's
@@ -710,15 +743,9 @@ impl FpvTestbench {
         if !config.granularity.is_decomposed() {
             return None;
         }
-        let seq = SeqAig::from_module(&self.miter);
-        let constraint_roots = |constraints: &[NodeId]| -> Vec<AigLit> {
-            constraints
-                .iter()
-                .flat_map(|c| seq.node_lits[c.index()].iter().copied())
-                .collect()
-        };
-        let exact_roots = constraint_roots(&self.constraints);
-        let obs_roots = constraint_roots(&self.obs_constraints);
+        let span = config.telemetry.child(SpanKind::Phase, "bit-blast");
+        let seq = Arc::new(SeqAig::from_module(&self.miter));
+        span.close();
 
         let mut clusters: Vec<PropertyCluster> = Vec::new();
         for class in [PropertyClass::Exact, PropertyClass::Attribution] {
@@ -728,17 +755,20 @@ impl FpvTestbench {
             if members.is_empty() {
                 continue;
             }
-            let class_roots = match class {
-                PropertyClass::Exact => &exact_roots,
-                PropertyClass::Attribution => &obs_roots,
-            };
+            let class_roots: Vec<AigLit> = self
+                .constraints_of(class)
+                .iter()
+                .flat_map(|c| seq.node_lits[c.index()].iter().copied())
+                .collect();
+            let mut class_walk = ConeWalk::new(&seq);
+            class_walk.extend(&class_roots);
             let cones: Vec<_> = members
                 .iter()
                 .map(|&i| {
                     let (_, p) = self.properties[i];
-                    let mut roots: Vec<AigLit> = seq.node_lits[p.index()].to_vec();
-                    roots.extend_from_slice(class_roots);
-                    sequential_coi(&seq, &roots)
+                    let mut walk = class_walk.clone();
+                    walk.extend(&seq.node_lits[p.index()]);
+                    walk.into_coi()
                 })
                 .collect();
             // Exact-class properties are never batched: each gets its own
@@ -780,21 +810,30 @@ impl FpvTestbench {
         Some(ClusterPlan {
             clusters,
             total_state_bits: seq.state_cur.len(),
-            total_port_bits: seq.input_lits.iter().map(|p| p.len()).sum(),
+            total_port_bits: seq.num_port_bits(),
+            blast: Some(seq),
         })
     }
 
-    /// Per-cluster content keys (bit-blasting the miter once): the key of
+    /// Per-cluster content keys, over the plan's blast: the key of
     /// cluster `i` covers its sliced sub-miter, member properties, and
     /// class constraints, so a DUT edit re-solves only the clusters whose
     /// cones it actually touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan holds no blast: keys are computed on a fresh
+    /// decomposed plan, before [`ClusterPlan::release_blast_for`].
     pub fn cluster_keys(
         &self,
         plan: &ClusterPlan,
         config: &CheckConfig,
         mode: CheckMode,
     ) -> Vec<ContentKey> {
-        let seq = SeqAig::from_module(&self.miter);
+        let seq = plan
+            .blast
+            .as_ref()
+            .expect("a decomposed plan carries its blast");
         plan.clusters
             .iter()
             .map(|cluster| {
@@ -803,33 +842,28 @@ impl FpvTestbench {
                     .iter()
                     .map(|&i| self.properties[i].clone())
                     .collect();
-                let constraints = self.cluster_constraints(cluster);
-                content_key_with_seq(&seq, &props, constraints, config, mode)
+                let constraints = self.constraints_of(cluster.class);
+                content_key_with_seq(seq, &props, constraints, config, mode)
             })
             .collect()
-    }
-
-    /// The constraint set a cluster's job runs under.
-    fn cluster_constraints(&self, cluster: &PropertyCluster) -> &[NodeId] {
-        match cluster.class {
-            PropertyClass::Exact => &self.constraints,
-            PropertyClass::Attribution => &self.obs_constraints,
-        }
     }
 
     /// Runs one cluster of the plan as a single engine job — the miter
     /// sliced to the cluster's cone, member properties checked together
     /// under the class constraint set — and converts the result into a
     /// cluster-level report with per-member verdicts. Counterexamples are
-    /// certified before being reported.
+    /// certified before being reported. `blast` is the plan's
+    /// [`ClusterPlan::blast`], which the job checks on instead of
+    /// blasting the miter again.
     pub fn check_cluster(
         &self,
         cluster: &PropertyCluster,
+        blast: Option<&Arc<SeqAig>>,
         config: &CheckConfig,
         engine: &dyn CheckEngine,
     ) -> CheckReport {
         let start = Instant::now();
-        let job = self.plan_job(cluster, config, engine);
+        let job = self.plan_job(cluster, blast, config, engine);
         let span = job.config.telemetry.clone();
         let runs = Portfolio::new(1).run_engine_jobs(vec![job]);
         let run = runs.into_iter().next().expect("one job yields one run");
@@ -842,7 +876,8 @@ impl FpvTestbench {
     }
 
     /// One job of a plan: `engine` over the cluster's members under their
-    /// class constraint set, in a check span named by the cluster label.
+    /// class constraint set, on the plan's `blast` when there is one, in a
+    /// check span named by the cluster label.
     /// Decomposed clusters always slice, whatever `config.slice` says:
     /// the cluster exists to confine the encoding to its cone, slicing is
     /// verdict-invariant, and without it every cluster would re-encode the
@@ -851,6 +886,7 @@ impl FpvTestbench {
     fn plan_job<'t>(
         &'t self,
         cluster: &PropertyCluster,
+        blast: Option<&Arc<SeqAig>>,
         config: &CheckConfig,
         engine: &'t dyn CheckEngine,
     ) -> EngineJob<'t, 't> {
@@ -863,7 +899,10 @@ impl FpvTestbench {
         }
         let mut job_config = config.clone().slice(config.slice || decomposed);
         job_config.telemetry = span;
-        let mut spec = CheckSpec::new(&self.miter).constraints(self.cluster_constraints(cluster));
+        let mut spec = CheckSpec::new(&self.miter).constraints(self.constraints_of(cluster.class));
+        if let Some(seq) = blast {
+            spec = spec.blast(Arc::clone(seq));
+        }
         for &i in &cluster.members {
             let (name, p) = &self.properties[i];
             spec = spec.property(name.clone(), *p);

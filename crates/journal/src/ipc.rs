@@ -1218,6 +1218,7 @@ fn solve_request<W: Write + Send + 'static>(
         module: &req.module,
         properties: req.properties.clone(),
         constraints: req.constraints.clone(),
+        blast: None,
     };
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         engine.check(&spec, &req.config, &CancelToken::new())

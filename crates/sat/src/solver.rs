@@ -198,6 +198,8 @@ pub struct Solver {
     /// [`SolveResult::Stopped`] or [`SolveResult::Unknown`] solve leaves no
     /// stale certificate for a later caller to mistake as proven.
     last_unsat: Option<Vec<Lit>>,
+    /// Scratch for [`Solver::add_clause`], reused by every call.
+    intake: Vec<Lit>,
 }
 
 impl Default for Solver {
@@ -240,6 +242,7 @@ impl Solver {
             proof: None,
             next_proof_id: 0,
             last_unsat: None,
+            intake: Vec::new(),
         }
     }
 
@@ -474,43 +477,48 @@ impl Solver {
             return false;
         }
         self.cancel_until(0);
-        let mut sorted: Vec<Lit> = lits.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut cleaned: Vec<Lit> = Vec::with_capacity(sorted.len());
-        let mut prev: Option<Lit> = None;
-        for &l in &sorted {
-            if let Some(p) = prev {
-                if p == !l {
-                    return true; // tautology: p ∨ ¬p
-                }
-            }
-            match self.lit_value(l) {
-                TRUE => return true, // already satisfied at root
-                FALSE => {}          // falsified at root: drop literal
-                _ => cleaned.push(l),
-            }
-            prev = Some(l);
+        // Intake works in one buffer kept across calls; only a logged
+        // proof step allocates.
+        let mut clause = std::mem::take(&mut self.intake);
+        clause.clear();
+        clause.extend_from_slice(lits);
+        let added = self.add_root_clause(&mut clause);
+        self.intake = clause;
+        added
+    }
+
+    /// [`Solver::add_clause`] at the root level, over a scratch copy of
+    /// the clause that it sorts and cleans in place.
+    fn add_root_clause(&mut self, clause: &mut Vec<Lit>) -> bool {
+        clause.sort_unstable();
+        clause.dedup();
+        // A tautology (p and ¬p sit side by side once sorted) or a clause
+        // already satisfied at the root adds nothing and logs nothing.
+        if clause.windows(2).any(|w| w[0] == !w[1])
+            || clause.iter().any(|&l| self.lit_value(l) == TRUE)
+        {
+            return true;
         }
         // Log the deduplicated clause *before* root-level stripping: the
         // checker re-derives the stripped literals' falsity itself, so the
         // stored (stripped) clause propagates identically on its side.
         let proof_id = self.take_proof_id();
         if let Some(buf) = &mut self.proof {
-            buf.push(ProofStep::Original(sorted));
+            buf.push(ProofStep::Original(clause.clone()));
         }
-        match cleaned.len() {
+        clause.retain(|&l| self.lit_value(l) != FALSE);
+        match clause.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(cleaned[0], None);
+                self.unchecked_enqueue(clause[0], None);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
             _ => {
-                let cref = self.clauses.insert(&cleaned, false, 0, proof_id);
+                let cref = self.clauses.insert(clause, false, 0, proof_id);
                 self.attach(cref);
                 true
             }
@@ -1424,6 +1432,49 @@ mod tests {
         assert!(s.add_clause(&[lit(&v, 2), lit(&v, 2)])); // dedup to unit
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.value(v[1]), Some(true));
+    }
+
+    /// What clause intake stores and logs: a skipped clause (tautology,
+    /// root-true literal) takes no proof ID and logs nothing; a logged
+    /// clause is the sorted, deduplicated one, root-false literals
+    /// included, while the stored clause drops them.
+    #[test]
+    fn clause_intake_logs_and_stores_the_cleaned_clause() {
+        use crate::proof::ProofStep;
+        let (mut s, v) = setup(4);
+        s.enable_proof_logging();
+        let ids = |s: &Solver| {
+            s.clauses
+                .iter_refs()
+                .map(|c| (s.clauses.lits(c).collect(), s.clauses.proof_id(c)))
+                .collect::<Vec<(Vec<Lit>, Option<u32>)>>()
+        };
+        assert!(s.add_clause(&[lit(&v, 1)])); // a unit: a is root-true
+        assert!(s.add_clause(&[lit(&v, 2), lit(&v, -2)])); // tautology
+        assert!(s.add_clause(&[lit(&v, 3), lit(&v, 2), lit(&v, 3)])); // duplicate
+        assert!(s.add_clause(&[lit(&v, 4), lit(&v, 1)])); // root-true literal
+        assert!(s.add_clause(&[lit(&v, 4), lit(&v, -1), lit(&v, 3)])); // root-false literal
+        assert_eq!(s.num_clauses(), 2);
+        assert_eq!(
+            ids(&s),
+            vec![
+                (vec![lit(&v, 2), lit(&v, 3)], Some(1)),
+                (vec![lit(&v, 3), lit(&v, 4)], Some(2)),
+            ]
+        );
+        assert!(!s.add_clause(&[lit(&v, -1), lit(&v, -1)])); // root-false only
+        assert!(!s.add_clause(&[lit(&v, 2)])); // refused once unsatisfiable
+        assert_eq!(s.num_clauses(), 2);
+        assert_eq!(s.next_proof_id, 4);
+        assert_eq!(
+            s.take_proof_steps(),
+            vec![
+                ProofStep::Original(vec![lit(&v, 1)]),
+                ProofStep::Original(vec![lit(&v, 2), lit(&v, 3)]),
+                ProofStep::Original(vec![lit(&v, -1), lit(&v, 3), lit(&v, 4)]),
+                ProofStep::Original(vec![lit(&v, -1)]),
+            ]
+        );
     }
 
     mod proof {
